@@ -8,6 +8,8 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "serve/wire.h"
+
 namespace geovalid::cluster {
 namespace {
 
@@ -18,9 +20,7 @@ void append_number(std::string& out, double v) {
     out += std::to_string(static_cast<long long>(v));
     return;
   }
-  char buf[40];
-  const auto [p, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  out.append(buf, static_cast<std::size_t>(p - buf));
+  serve::append_number(out, v);
 }
 
 /// One family's merged state. Samples keep first-seen order: the obs

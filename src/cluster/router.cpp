@@ -1,6 +1,5 @@
 #include "cluster/router.h"
 
-#include <netdb.h>
 #include <poll.h>
 #include <sys/socket.h>
 
@@ -10,24 +9,19 @@
 #include <cstring>
 #include <stdexcept>
 #include <utility>
-#include <variant>
 
 #include "cluster/aggregate.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "serve/http.h"
 
 namespace geovalid::cluster {
 namespace {
 
-using serve::Fd;
-using serve::HttpRequest;
-using serve::HttpRequestParser;
-using serve::http_response;
+using serve::HttpReply;
 using serve::NetError;
+using serve::Route;
 
 constexpr int kPollTimeoutMs = 100;
-constexpr std::size_t kReadBudgetBytes = 256 * 1024;
 
 /// Opportunistic flush threshold: a forwarder buffer past this tries the
 /// socket immediately instead of waiting for the next POLLOUT round.
@@ -37,13 +31,12 @@ constexpr std::size_t kFlushChunkBytes = 64 * 1024;
 /// violation, not a slow header.
 constexpr std::size_t kMaxProbeResponseBytes = 64 * 1024;
 
-/// conn_of_pollfd sentinels (connection indices are always far below).
-/// Each forwarder can contribute two pollfds: its text channel (tagged
-/// from kForwarderBase) and its lazily-opened binary channel (tagged from
-/// kForwarderBinBase); each in-flight health probe one more (tagged from
-/// kProbeBase). All three are disjoint ranges.
-constexpr std::size_t kIngestListener = SIZE_MAX;
-constexpr std::size_t kHttpListener = SIZE_MAX - 1;
+/// Poll-set tags beside the connection core's (connection indices count
+/// up from 0, its listeners sit at SIZE_MAX). Each forwarder can
+/// contribute two pollfds: its text channel (tagged from kForwarderBase)
+/// and its lazily-opened binary channel (tagged from kForwarderBinBase);
+/// each in-flight health probe one more (tagged from kProbeBase). All
+/// three are disjoint ranges.
 constexpr std::size_t kForwarderBase = SIZE_MAX / 2;
 constexpr std::size_t kForwarderBinBase = SIZE_MAX / 4;
 constexpr std::size_t kProbeBase = SIZE_MAX / 8;
@@ -54,91 +47,13 @@ int to_ms(double seconds) {
   return std::max(1, static_cast<int>(seconds * 1000.0));
 }
 
-/// Fully non-blocking connect start for the probe loop: returns an fd
-/// whose connect is in flight (or already complete); invalid on
-/// immediate failure. Never blocks — EINPROGRESS is the success path.
-Fd probe_connect(const std::string& host, std::uint16_t port) {
-  addrinfo hints{};
-  hints.ai_family = AF_INET;
-  hints.ai_socktype = SOCK_STREAM;
-  hints.ai_flags = AI_NUMERICSERV;
-  addrinfo* res = nullptr;
-  const std::string service = std::to_string(port);
-  if (::getaddrinfo(host.c_str(), service.c_str(), &hints, &res) != 0) {
-    return Fd();
-  }
-  Fd fd(::socket(res->ai_family,
-                 res->ai_socktype | SOCK_NONBLOCK | SOCK_CLOEXEC,
-                 res->ai_protocol));
-  if (fd.valid()) {
-    if (::connect(fd.get(), res->ai_addr, res->ai_addrlen) < 0 &&
-        errno != EINPROGRESS) {
-      fd.reset();
-    }
-  }
-  ::freeaddrinfo(res);
-  return fd;
+/// Advances `counter` to a forwarder's running `total`; `seen` is the
+/// reconcile watermark.
+void sync_counter(obs::Counter& counter, std::uint64_t total,
+                  std::uint64_t& seen) {
+  if (total > seen) counter.inc(total - seen);
+  seen = total;
 }
-
-/// Minimal response scan for the probe state machine: HTTP status plus
-/// the Geovalid-Instance header (serve stamps it on /readyz so the
-/// router can tell a connection blip from a process restart).
-bool parse_probe_response(const std::string& raw, int& status,
-                          std::string& instance) {
-  const std::size_t sp = raw.find(' ');
-  if (sp == std::string::npos || sp + 4 > raw.size()) return false;
-  status = 0;
-  const char* begin = raw.data() + sp + 1;
-  const auto [ptr, ec] = std::from_chars(begin, begin + 3, status);
-  if (ec != std::errc{} || ptr != begin + 3) return false;
-  std::size_t head_end = raw.find("\r\n\r\n");
-  if (head_end == std::string::npos) head_end = raw.size();
-  const std::string_view head(raw.data(), head_end);
-  static constexpr std::string_view kHeader = "geovalid-instance:";
-  std::size_t line = head.find("\r\n");
-  while (line != std::string_view::npos && line + 2 < head.size()) {
-    const std::string_view rest = head.substr(line + 2);
-    if (rest.size() > kHeader.size()) {
-      bool match = true;
-      for (std::size_t i = 0; i < kHeader.size(); ++i) {
-        const char c = rest[i];
-        const char lower =
-            (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
-        if (lower != kHeader[i]) {
-          match = false;
-          break;
-        }
-      }
-      if (match) {
-        std::string_view value = rest.substr(kHeader.size());
-        const std::size_t eol = value.find("\r\n");
-        if (eol != std::string_view::npos) value = value.substr(0, eol);
-        while (!value.empty() && value.front() == ' ') {
-          value.remove_prefix(1);
-        }
-        while (!value.empty() && value.back() == ' ') {
-          value.remove_suffix(1);
-        }
-        instance.assign(value);
-        break;
-      }
-    }
-    line = head.find("\r\n", line + 2);
-  }
-  return true;
-}
-
-/// The fixed route vocabulary of cluster_http_requests_total{route=...}.
-constexpr const char* kRouteLabels[] = {
-    "/healthz",          "/readyz",
-    "/metrics",          "/v1/summary",
-    "/v1/users/{id}/verdicts",
-    "/v1/users/{id}/score",
-    "/v1/suspects",
-    "/admin/checkpoint", "/admin/drain",
-    "/admin/backends/{name}",
-    "other",
-};
 
 /// Routing key: verb + user id, the first two wire fields. Everything
 /// after the second comma is the backend's business — this is the only
@@ -181,6 +96,13 @@ std::optional<std::string> json_string_field(std::string_view json,
   return out;
 }
 
+/// {"name":NAME,"response":BODY} — one backend's embedded fan-out answer.
+void append_backend_response(std::string& out, const std::string& name,
+                             const std::string& body) {
+  if (!out.empty()) out += ',';
+  out += "{\"name\":\"" + name + "\",\"response\":" + body + "}";
+}
+
 void append_json_string_array(std::string& out,
                               const std::vector<std::string>& items) {
   out += '[';
@@ -191,6 +113,14 @@ void append_json_string_array(std::string& out,
     out += '"';
   }
   out += ']';
+}
+
+/// {"error":WHAT,"failed":[names]} — a fan-out that fell short.
+std::string failed_json(std::string_view what,
+                        const std::vector<std::string>& failed) {
+  std::string out = "{\"error\":\"" + std::string(what) + "\",\"failed\":";
+  append_json_string_array(out, failed);
+  return out + "}";
 }
 
 /// The bare number token after `"key":` in one flat JSON object — returned
@@ -251,33 +181,6 @@ void extract_suspects(std::string_view body,
 
 }  // namespace
 
-/// One accepted socket, either protocol — serve's Conn, verbatim
-/// discipline: queued response bytes drip out under POLLOUT.
-struct Router::Conn {
-  /// Wire format of an ingest connection, decided by its first byte
-  /// (serve/wire.h negotiation rule: 0xB1 = binary, anything else =
-  /// text) and fixed for the connection's lifetime.
-  enum class WireMode : std::uint8_t { kUndecided, kText, kBinary };
-
-  Fd fd;
-  bool is_http = false;
-  bool dead = false;
-  bool close_after_write = false;
-  bool awaiting_drain = false;
-  WireMode mode = WireMode::kUndecided;
-  serve::LineDecoder decoder;
-  serve::BinaryFrameDecoder frame_decoder;
-  HttpRequestParser parser;
-  std::string wbuf;
-  std::size_t woff = 0;
-  Clock::time_point last_activity;
-
-  explicit Conn(Fd socket, bool http, std::size_t max_line_bytes)
-      : fd(std::move(socket)), is_http(http), decoder(max_line_bytes) {
-    last_activity = Clock::now();
-  }
-};
-
 /// Cached cluster_* metric handles; per-backend vectors are ring-ordered
 /// and stay valid across replace() because labels key on the stable name.
 struct Router::Metrics {
@@ -301,15 +204,6 @@ struct Router::Metrics {
   obs::Counter* rec_replayed = nullptr;
   obs::Counter* rec_malformed = nullptr;
   obs::Counter* pauses = nullptr;
-  obs::Counter* conns_ingest = nullptr;
-  obs::Counter* conns_http = nullptr;
-
-  obs::Counter& http_requests(const std::string& route, int status) {
-    return obs::registry().counter(
-        "cluster_http_requests_total",
-        "Router control-plane requests, by route and response status",
-        {{"route", route}, {"status", std::to_string(status)}});
-  }
 };
 
 Router::Router(RouteConfig config)
@@ -324,6 +218,7 @@ Router::Router(RouteConfig config)
     ring_.add_backend(b.name);  // rejects duplicates
     forwarders_.push_back(std::make_unique<Forwarder>(b));
   }
+  hub_.config = config_;
   route_scratch_.resize(forwarders_.size());
   health_.resize(forwarders_.size());
   if (!config_.net_faults.empty()) {
@@ -347,60 +242,49 @@ void Router::register_metrics() {
                         "Backends configured on the hash ring");
   m.backends->set(static_cast<std::int64_t>(forwarders_.size()));
   for (const auto& f : forwarders_) {
-    const std::string& name = f->addr().name;
+    const obs::Labels label{{"backend", f->addr().name}};
     m.up.push_back(&r.gauge(
         "cluster_backend_up",
-        "Forwarder connection state per backend (1 up, 0 down)",
-        {{"backend", name}}));
+        "Forwarder connection state per backend (1 up, 0 down)", label));
     m.state.push_back(&r.gauge(
         "cluster_backend_state",
         "Health state machine per backend (0 down, 1 recovering, "
-        "2 suspect, 3 up)",
-        {{"backend", name}}));
+        "2 suspect, 3 up)", label));
     m.buffered.push_back(&r.gauge(
         "cluster_backend_buffered_bytes",
-        "Bytes queued for a backend, waiting on its ingest socket",
-        {{"backend", name}}));
+        "Bytes queued for a backend, waiting on its ingest socket", label));
     m.spool_bytes.push_back(&r.gauge(
         "cluster_spool_bytes",
-        "Bytes spooled for a backend that is not up",
-        {{"backend", name}}));
+        "Bytes spooled for a backend that is not up", label));
     m.spool_records.push_back(&r.gauge(
         "cluster_spool_records",
-        "Records spooled for a backend that is not up",
-        {{"backend", name}}));
+        "Records spooled for a backend that is not up", label));
     m.spool_age.push_back(&r.gauge(
         "cluster_spool_age_seconds",
-        "Age of the oldest spooled entry per backend (0 when empty)",
-        {{"backend", name}}));
+        "Age of the oldest spooled entry per backend (0 when empty)", label));
     m.fwd_records.push_back(&r.counter(
         "cluster_forward_records_total",
-        "Records forwarded to each backend", {{"backend", name}}));
+        "Records forwarded to each backend", label));
     m.fwd_dropped.push_back(&r.counter(
         "cluster_forward_dropped_total",
         "Records lost at deliberate teardown with the backend still "
         "unable to absorb them (the only counted-loss path; spool "
-        "overflow backpressures instead)",
-        {{"backend", name}}));
+        "overflow backpressures instead)", label));
     m.superseded.push_back(&r.counter(
         "cluster_spool_superseded_total",
         "Spooled records discarded because a backend restart made the "
-        "client re-send authoritative (re-delivered, not lost)",
-        {{"backend", name}}));
+        "client re-send authoritative (re-delivered, not lost)", label));
     m.reconnects.push_back(&r.counter(
         "cluster_reconnects_total",
-        "Successful forwarder reconnects after a severed connection",
-        {{"backend", name}}));
+        "Successful forwarder reconnects after a severed connection", label));
     m.probe_failures.push_back(&r.counter(
         "cluster_probe_failures_total",
         "Health probes that failed (connect/read deadline, non-200, or "
-        "malformed response)",
-        {{"backend", name}}));
+        "malformed response)", label));
     m.backend_errors.push_back(&r.counter(
         "cluster_backend_errors_total",
         "Failed control-plane calls to a backend (scrapes, fan-outs, "
-        "proxies)",
-        {{"backend", name}}));
+        "proxies)", label));
     m.dropped_seen.push_back(0);
     m.superseded_seen.push_back(0);
     m.reconnects_seen.push_back(0);
@@ -421,11 +305,17 @@ void Router::register_metrics() {
       "crossed the high-water mark");
   static constexpr std::string_view kConnHelp =
       "Connections accepted by the router, by listener kind";
-  m.conns_ingest = &r.counter("cluster_connections_total", kConnHelp,
-                              {{"kind", "ingest"}});
-  m.conns_http = &r.counter("cluster_connections_total", kConnHelp,
-                            {{"kind", "http"}});
-  for (const char* route : kRouteLabels) m.http_requests(route, 200);
+  serve::ConnMetrics& c = hub_.metrics;
+  c.accepted[0] = &r.counter("cluster_connections_total", kConnHelp,
+                             {{"kind", "ingest"}});
+  c.accepted[1] = &r.counter("cluster_connections_total", kConnHelp,
+                             {{"kind", "http"}});
+  c.requests_family = "cluster_http_requests_total";
+  c.requests_help =
+      "Router control-plane requests, by route and response status";
+  for (std::size_t i = 0; i < serve::kRouteCount; ++i) {
+    (void)c.requests(static_cast<Route>(i), 200);
+  }
 }
 
 void Router::start() {
@@ -459,56 +349,25 @@ void Router::start() {
     h.next_probe_at =
         now + std::chrono::milliseconds(to_ms(config_.probe_interval_s));
   }
-  ingest_listener_ = serve::tcp_listen(config_.host, config_.ingest_port);
-  ingest_port_ = serve::local_port(ingest_listener_.get());
-  http_listener_ = serve::tcp_listen(config_.host, config_.http_port);
-  http_port_ = serve::local_port(http_listener_.get());
+  hub_.listen();
   started_ = true;
 }
 
-std::uint64_t Router::covered_count(trace::UserId user) const {
-  const auto it = covered_.find(user);
-  return it == covered_.end() ? 0 : it->second;
+void Router::count_malformed() {
+  ++stats_.records_malformed;
+  if (metrics_) metrics_->rec_malformed->inc();
 }
 
-void Router::accept_ready(Fd& listener, bool is_http) {
-  while (conns_.size() < config_.max_connections) {
-    const int cfd = ::accept4(listener.get(), nullptr, nullptr,
-                              SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (cfd < 0) {
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      break;
-    }
-    conns_.push_back(std::make_unique<Conn>(Fd(cfd), is_http,
-                                            config_.max_line_bytes));
-    ++stats_.connections;
-    if (is_http) {
-      ++active_http_;
-      if (metrics_) metrics_->conns_http->inc();
-    } else {
-      ++active_ingest_;
-      if (metrics_) metrics_->conns_ingest->inc();
-    }
-  }
-}
-
-void Router::process_ingest_line(std::string_view text, bool truncated) {
-  if (truncated) {
-    ++stats_.records_malformed;
-    if (metrics_) metrics_->rec_malformed->inc();
-    quarantine_->record_raw(text, stream::QuarantineReason::kMalformedLine);
-    return;
-  }
-  if (text.empty()) return;  // blank keepalive line
-  const std::optional<trace::UserId> user = route_key(text);
+void Router::on_line(std::string_view text, bool truncated) {
+  if (text.empty() && !truncated) return;  // blank keepalive line
+  const std::optional<trace::UserId> user =
+      truncated ? std::nullopt : route_key(text);
   if (!user) {
-    ++stats_.records_malformed;
-    if (metrics_) metrics_->rec_malformed->inc();
+    count_malformed();
     quarantine_->record_raw(text, stream::QuarantineReason::kMalformedLine);
     return;
   }
-  const std::uint64_t arrived = ++arrived_[*user];
-  if (arrived <= covered_count(*user)) {
+  if (ledger_.arrive(*user)) {
     // Epoch-covered prefix of a full re-send after a rebalance: the
     // owning backend already applied it. This skip is what keeps healthy
     // backends from double-applying while a replaced one catches up.
@@ -521,7 +380,6 @@ void Router::process_ingest_line(std::string_view text, bool truncated) {
   // enqueue() cannot lose the record: a not-up owner spools it (bounded
   // by the backpressure check in run()) until recovery settles replay.
   f.enqueue(text);
-  ++sent_[*user];
   ++stats_.records_forwarded;
   if (metrics_) {
     metrics_->rec_forwarded->inc();
@@ -530,15 +388,14 @@ void Router::process_ingest_line(std::string_view text, bool truncated) {
   if (f.buffered() >= kFlushChunkBytes) f.flush();
 }
 
-void Router::process_ingest_frame(serve::BinaryFrameDecoder::Frame& frame) {
+void Router::on_frame(serve::BinaryFrameDecoder::Frame& frame) {
   // Same per-record epoch discipline as the text path — the frame is just
   // a denser envelope. Events that survive the replay skip are bucketed
   // by ring owner; each touched backend then gets exactly one re-encoded
   // sub-frame on its binary channel.
   for (auto& bucket : route_scratch_) bucket.clear();
   for (const stream::Event& e : frame.events) {
-    const std::uint64_t arrived = ++arrived_[e.user];
-    if (arrived <= covered_count(e.user)) {
+    if (ledger_.arrive(e.user)) {
       ++stats_.records_replayed;
       if (metrics_) metrics_->rec_replayed->inc();
       continue;
@@ -552,7 +409,6 @@ void Router::process_ingest_frame(serve::BinaryFrameDecoder::Frame& frame) {
     serve::append_binary_frame(frame_scratch_, bucket);
     Forwarder& f = *forwarders_[owner];
     f.enqueue_frame(frame_scratch_, bucket.size());
-    for (const stream::Event& e : bucket) ++sent_[e.user];
     stats_.records_forwarded += bucket.size();
     if (metrics_) {
       metrics_->rec_forwarded->inc(bucket.size());
@@ -562,103 +418,19 @@ void Router::process_ingest_frame(serve::BinaryFrameDecoder::Frame& frame) {
   }
 }
 
-void Router::process_frame_error(const serve::FrameError& error) {
+void Router::on_frame_error(const serve::FrameError& error) {
   // One rejected frame = one malformed ingest record: its claimed record
   // count is exactly what cannot be trusted.
-  ++stats_.records_malformed;
-  if (metrics_) metrics_->rec_malformed->inc();
+  count_malformed();
   quarantine_->record_raw(error.detail,
                           stream::QuarantineReason::kMalformedFrame);
 }
 
-void Router::handle_ingest_eof(Conn& c) {
-  if (c.mode == Conn::WireMode::kBinary) {
-    if (const auto err = c.frame_decoder.finish()) {
-      process_frame_error(*err);
-    }
-  } else if (const auto fragment = c.decoder.finish()) {
-    process_ingest_line(fragment->text, true);
-  }
-  c.dead = true;
-}
-
-void Router::handle_read(Conn& c) {
-  char buf[65536];
-  std::size_t budget = kReadBudgetBytes;
-  while (budget > 0 && !c.dead) {
-    const ssize_t n =
-        ::recv(c.fd.get(), buf, std::min(sizeof(buf), budget), 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      c.dead = true;
-      return;
-    }
-    if (n == 0) {
-      if (c.is_http) {
-        c.dead = true;
-      } else {
-        handle_ingest_eof(c);
-      }
-      return;
-    }
-    budget -= static_cast<std::size_t>(n);
-    c.last_activity = Clock::now();
-    const std::string_view chunk(buf, static_cast<std::size_t>(n));
-    if (c.is_http) {
-      const auto state = c.parser.consume(chunk);
-      if (state == HttpRequestParser::State::kDone) {
-        route_request(c);
-        return;
-      }
-      if (state == HttpRequestParser::State::kError) {
-        ++stats_.http_requests;
-        if (metrics_) {
-          metrics_->http_requests("other", c.parser.error_status()).inc();
-        }
-        c.wbuf += http_response(c.parser.error_status(), "text/plain",
-                                c.parser.error() + "\n");
-        c.close_after_write = true;
-        flush_write(c);
-        return;
-      }
-    } else {
-      if (c.mode == Conn::WireMode::kUndecided) {
-        // serve/wire.h negotiation: the first byte of the connection
-        // picks the format for its lifetime. 0xB1 cannot start a text
-        // record, so the dispatch is unambiguous.
-        c.mode = (static_cast<unsigned char>(chunk.front()) ==
-                  serve::kFrameMagic0)
-                     ? Conn::WireMode::kBinary
-                     : Conn::WireMode::kText;
-      }
-      if (c.mode == Conn::WireMode::kBinary) {
-        c.frame_decoder.feed(chunk);
-        while (auto result = c.frame_decoder.next()) {
-          if (auto* frame =
-                  std::get_if<serve::BinaryFrameDecoder::Frame>(&*result)) {
-            process_ingest_frame(*frame);
-          } else {
-            process_frame_error(std::get<serve::FrameError>(*result));
-          }
-        }
-      } else {
-        c.decoder.feed(chunk);
-        while (auto line = c.decoder.next()) {
-          process_ingest_line(line->text, line->truncated);
-        }
-      }
-    }
-  }
-}
-
-void Router::handle_readyz(int& status, std::string& content_type,
-                           std::string& body) {
+HttpReply Router::handle_readyz() {
   // Per-backend verdict: the probe-driven state machine first (a backend
   // the router cannot forward to is not ready, whatever its own /readyz
   // says), then a live deadline-bounded probe for up backends.
   std::string not_ready;
-  std::size_t count = 0;
   for (std::size_t i = 0; i < forwarders_.size(); ++i) {
     const Forwarder& f = *forwarders_[i];
     std::string why;
@@ -678,197 +450,136 @@ void Router::handle_readyz(int& status, std::string& content_type,
       }
     }
     if (why.empty()) continue;
-    if (count++ > 0) not_ready += ',';
+    if (!not_ready.empty()) not_ready += ',';
     not_ready += "{\"name\":\"" + f.addr().name + "\",\"state\":\"" + why +
                  "\"}";
   }
-  if (count == 0) {
-    status = 200;
-    content_type = "text/plain";
-    body = "ready\n";
-  } else {
-    status = 503;
-    body = "{\"not_ready\":[" + not_ready + "]}";
-  }
+  if (not_ready.empty()) return {Route::kReadyz, 200, "ready\n", "text/plain"};
+  return {Route::kReadyz, 503, "{\"not_ready\":[" + not_ready + "]}"};
 }
 
-void Router::handle_metrics(int& status, std::string& content_type,
-                            std::string& body) {
-  update_backend_gauges();
-  std::vector<std::string> texts;
+std::vector<std::string> Router::fan_out(
+    const std::string& method, const std::string& target,
+    const std::function<bool(std::size_t, serve::HttpResponse&)>& on_reply,
+    const std::function<bool(std::size_t)>& skip) {
+  std::vector<std::string> failed;
   for (std::size_t i = 0; i < forwarders_.size(); ++i) {
     const BackendAddr& addr = forwarders_[i]->addr();
-    try {
-      serve::HttpResponse resp = serve::http_get_deadline(
-          addr.host, addr.http_port, "/metrics", fanout_deadline_ms());
-      if (resp.status == 200) {
-        texts.push_back(strip_prometheus(resp.body, "cluster_"));
-      } else if (metrics_) {
-        metrics_->backend_errors[i]->inc();
+    bool ok = false;
+    if (!skip || !skip(i)) {
+      try {
+        serve::HttpResponse resp =
+            method == "GET"
+                ? serve::http_get_deadline(addr.host, addr.http_port, target,
+                                           fanout_deadline_ms())
+                : serve::http_post_deadline(addr.host, addr.http_port,
+                                            target, fanout_deadline_ms());
+        ok = on_reply(i, resp);
+      } catch (const NetError&) {
+        if (metrics_) metrics_->backend_errors[i]->inc();
       }
-    } catch (const NetError&) {
-      // Degraded scrape: the missing backend is visible through the
-      // router's own cluster_backend_state gauge, so a partial merge is
-      // still truthful.
-      if (metrics_) metrics_->backend_errors[i]->inc();
     }
+    if (!ok) failed.push_back(addr.name);
   }
+  return failed;
+}
+
+HttpReply Router::handle_metrics() {
+  update_backend_gauges();
+  // A degraded scrape merges what answered: the missing backend is
+  // visible through the router's own cluster_backend_state gauge, so a
+  // partial merge is still truthful.
+  std::vector<std::string> texts;
+  (void)fan_out("GET", "/metrics",
+                [&](std::size_t i, serve::HttpResponse& resp) {
+                  if (resp.status == 200) {
+                    texts.push_back(strip_prometheus(resp.body, "cluster_"));
+                  } else if (metrics_) {
+                    metrics_->backend_errors[i]->inc();
+                  }
+                  return resp.status == 200;
+                });
   // Only the router's own cluster_* families join the merge: in-process
   // deployments (tests, bench) share one registry with the backends, and
   // re-adding their serve_* families here would double-count them.
   texts.push_back(filter_prometheus(obs::to_prometheus(obs::registry()),
                                     "cluster_"));
-  status = 200;
-  content_type = std::string(obs::kPrometheusContentType);
-  body = merge_prometheus(texts);
+  return {Route::kMetrics, 200, merge_prometheus(texts),
+          std::string(obs::kPrometheusContentType)};
 }
 
-void Router::handle_summary(int& status, std::string& body) {
+HttpReply Router::handle_summary() {
   std::vector<std::string> bodies;
-  std::vector<std::string> failed;
-  for (std::size_t i = 0; i < forwarders_.size(); ++i) {
-    const BackendAddr& addr = forwarders_[i]->addr();
-    try {
-      serve::HttpResponse resp = serve::http_get_deadline(
-          addr.host, addr.http_port, "/v1/summary", fanout_deadline_ms());
-      if (resp.status == 200) {
-        bodies.push_back(std::move(resp.body));
-      } else {
-        failed.push_back(addr.name);
-      }
-    } catch (const NetError&) {
-      failed.push_back(addr.name);
-      if (metrics_) metrics_->backend_errors[i]->inc();
-    }
-  }
+  const std::vector<std::string> failed =
+      fan_out("GET", "/v1/summary", [&](std::size_t, serve::HttpResponse& r) {
+        if (r.status == 200) bodies.push_back(std::move(r.body));
+        return r.status == 200;
+      });
   if (bodies.empty()) {
     // Nothing to merge: the whole cluster is unreachable, error out.
-    status = 502;
-    body = "{\"error\":\"summary fan-out failed\",\"failed\":";
-    append_json_string_array(body, failed);
-    body += "}";
-    return;
+    return {Route::kSummary, 502,
+            failed_json("summary fan-out failed", failed)};
   }
-  status = 200;
-  body = merge_summaries(bodies);
+  std::string body = merge_summaries(bodies);
   if (!failed.empty()) {
     // Partial sum: a partially-down cluster degrades instead of erroring,
     // and the annotation keeps the understatement explicit.
     std::string annotation = "\"degraded\":";
     append_json_string_array(annotation, failed);
-    annotation += ',';
-    body.insert(1, annotation);
+    body.insert(1, annotation + ',');
   }
+  return {Route::kSummary, 200, std::move(body)};
 }
 
-void Router::handle_proxy_verdicts(std::string_view id_text, int& status,
-                                   std::string& body) {
-  trace::UserId id = 0;
-  const auto [ptr, ec] =
-      std::from_chars(id_text.data(), id_text.data() + id_text.size(), id);
-  if (id_text.empty() || ec != std::errc{} ||
-      ptr != id_text.data() + id_text.size()) {
-    status = 400;
-    body = "{\"error\":\"bad user id\"}";
-    return;
-  }
-  const std::size_t owner = ring_.owner_index(id);
+HttpReply Router::proxy_to_owner(Route route, std::string_view id_text) {
+  const std::optional<trace::UserId> id = serve::parse_user_id(id_text);
+  if (!id) return {route, 400, "{\"error\":\"bad user id\"}"};
+  // The ring owner holds every record of this user, so its answer — 404
+  // for an unknown user, 409 for a score without a model — is the
+  // cluster's.
+  const std::size_t owner = ring_.owner_index(*id);
   const BackendAddr& addr = forwarders_[owner]->addr();
   try {
     serve::HttpResponse resp = serve::http_get_deadline(
         addr.host, addr.http_port,
-        "/v1/users/" + std::to_string(id) + "/verdicts",
+        "/v1/users/" + std::to_string(*id) +
+            (route == Route::kScore ? "/score" : "/verdicts"),
         fanout_deadline_ms());
-    status = resp.status;
-    body = std::move(resp.body);
+    return {route, resp.status, std::move(resp.body)};
   } catch (const NetError&) {
     if (metrics_) metrics_->backend_errors[owner]->inc();
-    status = 502;
-    body = "{\"error\":\"backend unreachable\",\"backend\":\"" + addr.name +
-           "\"}";
+    return {route, 502,
+            "{\"error\":\"backend unreachable\",\"backend\":\"" + addr.name +
+                "\"}"};
   }
 }
 
-void Router::handle_proxy_score(std::string_view id_text, int& status,
-                                std::string& body) {
-  trace::UserId id = 0;
-  const auto [ptr, ec] =
-      std::from_chars(id_text.data(), id_text.data() + id_text.size(), id);
-  if (id_text.empty() || ec != std::errc{} ||
-      ptr != id_text.data() + id_text.size()) {
-    status = 400;
-    body = "{\"error\":\"bad user id\"}";
-    return;
-  }
-  // The ring owner holds every record of this user, so its answer — score,
-  // 404 for an unknown user, 409 without a model — is the cluster's.
-  const std::size_t owner = ring_.owner_index(id);
-  const BackendAddr& addr = forwarders_[owner]->addr();
-  try {
-    serve::HttpResponse resp = serve::http_get_deadline(
-        addr.host, addr.http_port,
-        "/v1/users/" + std::to_string(id) + "/score", fanout_deadline_ms());
-    status = resp.status;
-    body = std::move(resp.body);
-  } catch (const NetError&) {
-    if (metrics_) metrics_->backend_errors[owner]->inc();
-    status = 502;
-    body = "{\"error\":\"backend unreachable\",\"backend\":\"" + addr.name +
-           "\"}";
-  }
-}
-
-void Router::handle_suspects(std::string_view target, int& status,
-                             std::string& body) {
-  std::size_t k = 10;
-  if (target != "/v1/suspects") {
-    const std::string_view k_text = target.substr(15);
-    const auto [ptr, ec] =
-        std::from_chars(k_text.data(), k_text.data() + k_text.size(), k);
-    if (k_text.empty() || ec != std::errc{} ||
-        ptr != k_text.data() + k_text.size()) {
-      status = 400;
-      body = "{\"error\":\"bad k\"}";
-      return;
-    }
-  }
+HttpReply Router::handle_suspects(std::string_view target) {
+  const std::optional<std::size_t> k = serve::parse_suspects_k(target);
+  if (!k) return {Route::kSuspects, 400, "{\"error\":\"bad k\"}"};
   // Every backend's top-k is a superset of its contribution to the
   // cluster top-k (users never span backends), so fan out the same k and
   // re-rank the union with the backends' own total order.
-  const std::string path = "/v1/suspects?k=" + std::to_string(k);
   std::vector<SuspectToken> merged;
-  std::vector<std::string> failed;
   std::size_t answered = 0;
   bool saw_no_model = false;
-  for (std::size_t i = 0; i < forwarders_.size(); ++i) {
-    const BackendAddr& addr = forwarders_[i]->addr();
-    try {
-      serve::HttpResponse resp = serve::http_get_deadline(
-          addr.host, addr.http_port, path, fanout_deadline_ms());
-      if (resp.status == 200) {
-        ++answered;
-        extract_suspects(resp.body, merged);
-      } else {
-        if (resp.status == 409) saw_no_model = true;
-        failed.push_back(addr.name);
-      }
-    } catch (const NetError&) {
-      failed.push_back(addr.name);
-      if (metrics_) metrics_->backend_errors[i]->inc();
-    }
+  const std::vector<std::string> failed = fan_out(
+      "GET", "/v1/suspects?k=" + std::to_string(*k),
+      [&](std::size_t, serve::HttpResponse& resp) {
+        if (resp.status == 200) {
+          ++answered;
+          extract_suspects(resp.body, merged);
+        }
+        saw_no_model |= resp.status == 409;
+        return resp.status == 200;
+      });
+  if (answered == 0 && saw_no_model) {
+    // Uniform config case: the cluster serves without a model.
+    return {Route::kSuspects, 409, "{\"error\":\"serving without a model\"}"};
   }
   if (answered == 0) {
-    if (saw_no_model) {
-      // Uniform config case: the cluster serves without a model.
-      status = 409;
-      body = "{\"error\":\"serving without a model\"}";
-      return;
-    }
-    status = 502;
-    body = "{\"error\":\"suspects fan-out failed\",\"failed\":";
-    append_json_string_array(body, failed);
-    body += "}";
-    return;
+    return {Route::kSuspects, 502,
+            failed_json("suspects fan-out failed", failed)};
   }
   std::sort(merged.begin(), merged.end(),
             [](const SuspectToken& a, const SuspectToken& b) {
@@ -877,80 +588,63 @@ void Router::handle_suspects(std::string_view target, int& status,
               }
               return a.user < b.user;
             });
-  if (merged.size() > k) merged.resize(k);
-  status = 200;
-  body = "{\"backends\":" + std::to_string(answered);
+  if (merged.size() > *k) merged.resize(*k);
+  std::string body = "{\"backends\":" + std::to_string(answered);
   if (!failed.empty()) {
     body += ",\"degraded\":";
     append_json_string_array(body, failed);
   }
-  body += ",\"k\":" + std::to_string(k) + ",\"suspects\":[";
+  body += ",\"k\":" + std::to_string(*k) + ",\"suspects\":[";
   for (std::size_t i = 0; i < merged.size(); ++i) {
     if (i > 0) body += ',';
     body += "{\"user\":" + std::to_string(merged[i].user) + ",\"score\":" +
             merged[i].score_text + ",\"checkins\":" +
             merged[i].checkins_text + "}";
   }
-  body += "]}";
+  return {Route::kSuspects, 200, body + "]}"};
 }
 
-void Router::handle_checkpoint(int& status, std::string& body) {
+HttpReply Router::handle_checkpoint() {
   // Buffered records must reach the backends first, or the fanned-out
   // checkpoints would not cover everything the router has accepted.
   flush_all_blocking(fanout_deadline_ms());
-  std::vector<std::string> failed;
   std::string ok_entries;
-  for (std::size_t i = 0; i < forwarders_.size(); ++i) {
-    const Forwarder& f = *forwarders_[i];
-    if (!f.sending() || f.spool_records() > 0) {
-      // Down, flush-expired, or records still spooled: its checkpoint
-      // could not cover the shard.
-      failed.push_back(f.addr().name);
-      continue;
-    }
-    try {
-      serve::HttpResponse resp = serve::http_post_deadline(
-          f.addr().host, f.addr().http_port, "/admin/checkpoint",
-          fanout_deadline_ms());
-      if (resp.status == 200) {
-        if (!ok_entries.empty()) ok_entries += ',';
-        ok_entries += "{\"name\":\"" + f.addr().name +
-                      "\",\"response\":" + resp.body + "}";
-      } else {
-        failed.push_back(f.addr().name);
-      }
-    } catch (const NetError&) {
-      failed.push_back(f.addr().name);
-      if (metrics_) metrics_->backend_errors[i]->inc();
-    }
-  }
+  const std::vector<std::string> failed = fan_out(
+      "POST", "/admin/checkpoint",
+      [&](std::size_t i, serve::HttpResponse& resp) {
+        if (resp.status == 200) {
+          append_backend_response(ok_entries, forwarders_[i]->addr().name,
+                                  resp.body);
+        }
+        return resp.status == 200;
+      },
+      [&](std::size_t i) {
+        // Down, flush-expired, or records still spooled: its checkpoint
+        // could not cover the shard.
+        const Forwarder& f = *forwarders_[i];
+        return !f.sending() || f.spool_records() > 0;
+      });
   if (!failed.empty()) {
-    status = 502;
-    body = "{\"error\":\"checkpoint fan-out failed\",\"failed\":";
-    append_json_string_array(body, failed);
-    body += "}";
-    return;
+    return {Route::kCheckpoint, 502,
+            failed_json("checkpoint fan-out failed", failed)};
   }
-  status = 200;
-  body = "{\"status\":\"ok\",\"backends\":[" + ok_entries + "]}";
+  return {Route::kCheckpoint, 200,
+          "{\"status\":\"ok\",\"backends\":[" + ok_entries + "]}"};
 }
 
-void Router::handle_replace(const std::string& name,
-                            const std::string& json, int& status,
-                            std::string& body) {
-  std::size_t index = forwarders_.size();
-  for (std::size_t i = 0; i < forwarders_.size(); ++i) {
-    if (forwarders_[i]->addr().name == name) {
-      index = i;
-      break;
-    }
+HttpReply Router::handle_replace(const std::string& name,
+                                 const std::string& json) {
+  const auto reply = [](int status, std::string body) {
+    return HttpReply(Route::kBackends, status, std::move(body));
+  };
+  std::size_t index = 0;
+  while (index < forwarders_.size() &&
+         forwarders_[index]->addr().name != name) {
+    ++index;
   }
   if (index == forwarders_.size()) {
-    status = 404;
-    body = "{\"error\":\"unknown backend\"}";
-    return;
+    return reply(404, "{\"error\":\"unknown backend\"}");
   }
-
   double ingest = 0.0;
   double http = 0.0;
   try {
@@ -959,16 +653,12 @@ void Router::handle_replace(const std::string& name,
       if (path == "http_port") http = value;
     }
   } catch (const std::invalid_argument&) {
-    status = 400;
-    body = "{\"error\":\"malformed body\"}";
-    return;
+    return reply(400, "{\"error\":\"malformed body\"}");
   }
   if (ingest < 1.0 || ingest > 65535.0 || http < 1.0 || http > 65535.0) {
-    status = 400;
-    body =
-        "{\"error\":\"body must carry ingest_port and http_port "
-        "(1-65535)\"}";
-    return;
+    return reply(400,
+                 "{\"error\":\"body must carry ingest_port and http_port "
+                 "(1-65535)\"}");
   }
   BackendAddr addr;
   addr.name = name;
@@ -976,11 +666,8 @@ void Router::handle_replace(const std::string& name,
                   .value_or(forwarders_[index]->addr().host);
   addr.ingest_port = static_cast<std::uint16_t>(ingest);
   addr.http_port = static_cast<std::uint16_t>(http);
-
   if (!forwarders_[index]->replace(addr)) {
-    status = 502;
-    body = "{\"error\":\"replacement unreachable\"}";
-    return;
+    return reply(502, "{\"error\":\"replacement unreachable\"}");
   }
 
   const std::uint64_t reset_users = begin_new_epoch(index);
@@ -996,9 +683,9 @@ void Router::handle_replace(const std::string& name,
   h.probe_fd.reset();
   h.next_probe_at = Clock::now();
 
-  status = 200;
-  body = "{\"status\":\"replaced\",\"backend\":\"" + name +
-         "\",\"users_reset\":" + std::to_string(reset_users) + "}";
+  return reply(200, "{\"status\":\"replaced\",\"backend\":\"" + name +
+                        "\",\"users_reset\":" + std::to_string(reset_users) +
+                        "}");
 }
 
 std::uint64_t Router::begin_new_epoch(std::size_t index) {
@@ -1014,20 +701,10 @@ std::uint64_t Router::begin_new_epoch(std::size_t index) {
   // table would re-forward an arbitrary mid-trace suffix as if it were a
   // fresh prefix and corrupt the resume skip — the exact at-least-once
   // hole the re-send protocol exists to close.
-  for (const auto& conn : conns_) {
-    if (!conn->is_http) conn->dead = true;
-  }
-  for (const auto& [user, sent] : sent_) covered_[user] += sent;
-  std::uint64_t reset_users = 0;
-  for (auto& [user, cov] : covered_) {
-    if (ring_.owner_index(user) == index) {
-      cov = 0;
-      ++reset_users;
-    }
-  }
-  sent_.clear();
-  arrived_.clear();
-  return reset_users;
+  core_.sever_ingest();
+  return ledger_.begin_epoch([&](trace::UserId user) {
+    return ring_.owner_index(user) == index;
+  });
 }
 
 int Router::fanout_deadline_ms() const {
@@ -1071,11 +748,9 @@ void Router::start_probe(std::size_t index, Clock::time_point now) {
   h.probe_deadline =
       now + std::chrono::milliseconds(to_ms(config_.probe_timeout_s));
   h.probe_in.clear();
-  h.probe_off = 0;
-  h.probe_out = "GET /readyz HTTP/1.1\r\nHost: " + addr.host +
-                "\r\nConnection: close\r\n\r\n";
-  h.probe_fd = probe_connect(addr.host, addr.http_port);
-  if (!h.probe_fd.valid()) {
+  try {
+    h.probe_fd = serve::tcp_connect_start(addr.host, addr.http_port);
+  } catch (const NetError&) {
     h.phase = BackendHealth::ProbePhase::kIdle;
     on_probe_failure(index);
     return;
@@ -1088,63 +763,52 @@ void Router::probe_io(std::size_t index, short revents) {
   if (h.phase == BackendHealth::ProbePhase::kIdle || !h.probe_fd.valid()) {
     return;
   }
+  const int fd = h.probe_fd.get();
   if ((revents & (POLLERR | POLLNVAL)) != 0) {
     finish_probe(index, /*ok=*/false, {});
     return;
   }
   if (h.phase == BackendHealth::ProbePhase::kConnecting) {
+    // The connect settled. A fresh socket's send buffer takes the small
+    // request whole, so a refused connect or a short send fails the probe.
+    const std::string request = "GET /readyz HTTP/1.1\r\nHost: " +
+                                forwarders_[index]->addr().host +
+                                "\r\nConnection: close\r\n\r\n";
     int err = 0;
     socklen_t len = sizeof(err);
-    if (::getsockopt(h.probe_fd.get(), SOL_SOCKET, SO_ERROR, &err, &len) <
-            0 ||
-        err != 0) {
-      finish_probe(index, /*ok=*/false, {});
-      return;
-    }
-    h.phase = BackendHealth::ProbePhase::kSending;
-  }
-  if (h.phase == BackendHealth::ProbePhase::kSending) {
-    while (h.probe_off < h.probe_out.size()) {
-      const ssize_t n = ::send(h.probe_fd.get(),
-                               h.probe_out.data() + h.probe_off,
-                               h.probe_out.size() - h.probe_off,
-                               MSG_NOSIGNAL);
-      if (n > 0) {
-        h.probe_off += static_cast<std::size_t>(n);
-        continue;
-      }
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+    if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) < 0 || err != 0 ||
+        ::send(fd, request.data(), request.size(), MSG_NOSIGNAL) !=
+            static_cast<ssize_t>(request.size())) {
       finish_probe(index, /*ok=*/false, {});
       return;
     }
     h.phase = BackendHealth::ProbePhase::kReading;
   }
-  if (h.phase == BackendHealth::ProbePhase::kReading) {
-    char buf[4096];
-    while (true) {
-      const ssize_t n = ::recv(h.probe_fd.get(), buf, sizeof(buf), 0);
-      if (n > 0) {
-        h.probe_in.append(buf, static_cast<std::size_t>(n));
-        if (h.probe_in.size() > kMaxProbeResponseBytes) {
-          finish_probe(index, /*ok=*/false, {});
-          return;
-        }
-        continue;
-      }
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-      if (n == 0) {
-        int status = 0;
-        std::string instance;
-        const bool ok = parse_probe_response(h.probe_in, status, instance) &&
-                        status == 200;
-        finish_probe(index, ok, std::move(instance));
-        return;
-      }
-      finish_probe(index, /*ok=*/false, {});
-      return;
+  char buf[4096];
+  while (true) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+    if (n > 0 && h.probe_in.size() + static_cast<std::size_t>(n) <=
+                     kMaxProbeResponseBytes) {
+      h.probe_in.append(buf, static_cast<std::size_t>(n));
+      continue;
     }
+    // EOF ends the response; an error or an oversized answer fails it.
+    bool ok = false;
+    std::string instance;
+    if (n == 0) {
+      try {
+        const serve::HttpResponse resp =
+            serve::parse_http_response(h.probe_in, "probe");
+        ok = resp.status == 200;
+        instance = resp.header("Geovalid-Instance");
+      } catch (const NetError&) {
+        // Malformed or cut short: a failed probe.
+      }
+    }
+    finish_probe(index, ok, std::move(instance));
+    return;
   }
 }
 
@@ -1153,9 +817,7 @@ void Router::finish_probe(std::size_t index, bool ok,
   BackendHealth& h = health_[index];
   h.phase = BackendHealth::ProbePhase::kIdle;
   h.probe_fd.reset();
-  h.probe_out.clear();
   h.probe_in.clear();
-  h.probe_off = 0;
   if (ok) {
     on_probe_success(index, std::move(instance));
   } else {
@@ -1227,164 +889,44 @@ void Router::on_probe_failure(std::size_t index) {
   }
 }
 
-void Router::route_request(Conn& c) {
-  const HttpRequest& req = c.parser.request();
-  ++stats_.http_requests;
-
-  std::string route = "other";
-  int status = 404;
-  std::string body = "{\"error\":\"not found\"}";
-  std::string content_type = "application/json";
-
-  const auto respond_method_not_allowed = [&](const char* route_name) {
-    route = route_name;
-    status = 405;
-    body = "{\"error\":\"method not allowed\"}";
-  };
-
-  if (req.target == "/healthz") {
-    route = "/healthz";
-    if (req.method == "GET") {
-      status = 200;
-      content_type = "text/plain";
-      body = "ok\n";
-    } else {
-      respond_method_not_allowed("/healthz");
-    }
-  } else if (req.target == "/readyz") {
-    route = "/readyz";
-    if (req.method == "GET") {
-      if (drain_requested_) {
-        status = 503;
-        body = "{\"error\":\"draining\"}";
-      } else {
-        handle_readyz(status, content_type, body);
-      }
-    } else {
-      respond_method_not_allowed("/readyz");
-    }
-  } else if (req.target == "/metrics") {
-    route = "/metrics";
-    if (req.method == "GET") {
-      handle_metrics(status, content_type, body);
-    } else {
-      respond_method_not_allowed("/metrics");
-    }
-  } else if (req.target == "/v1/summary") {
-    route = "/v1/summary";
-    if (req.method == "GET") {
-      handle_summary(status, body);
-    } else {
-      respond_method_not_allowed("/v1/summary");
-    }
-  } else if (req.target.rfind("/v1/users/", 0) == 0 &&
-             req.target.size() > 10 &&
-             req.target.compare(req.target.size() - 9, 9, "/verdicts") ==
-                 0) {
-    route = "/v1/users/{id}/verdicts";
-    if (req.method == "GET") {
-      handle_proxy_verdicts(
-          std::string_view(req.target).substr(10, req.target.size() - 19),
-          status, body);
-    } else {
-      respond_method_not_allowed("/v1/users/{id}/verdicts");
-    }
-  } else if (req.target.rfind("/v1/users/", 0) == 0 &&
-             req.target.size() > 10 &&
-             req.target.compare(req.target.size() - 6, 6, "/score") == 0) {
-    route = "/v1/users/{id}/score";
-    if (req.method == "GET") {
-      handle_proxy_score(
-          std::string_view(req.target).substr(10, req.target.size() - 16),
-          status, body);
-    } else {
-      respond_method_not_allowed("/v1/users/{id}/score");
-    }
-  } else if (req.target == "/v1/suspects" ||
-             req.target.rfind("/v1/suspects?k=", 0) == 0) {
-    route = "/v1/suspects";
-    if (req.method == "GET") {
-      handle_suspects(req.target, status, body);
-    } else {
-      respond_method_not_allowed("/v1/suspects");
-    }
-  } else if (req.target == "/admin/checkpoint") {
-    route = "/admin/checkpoint";
-    if (req.method == "POST") {
-      handle_checkpoint(status, body);
-    } else {
-      respond_method_not_allowed("/admin/checkpoint");
-    }
-  } else if (req.target == "/admin/drain") {
-    route = "/admin/drain";
-    if (req.method != "POST") {
-      respond_method_not_allowed("/admin/drain");
-    } else if (drain_done_) {
-      status = drain_status_;
-      body = drain_body_;
-    } else {
+HttpReply Router::on_request(const serve::HttpRequest& req) {
+  const serve::RouteMatch m = serve::match_route(req);
+  if (!m.method_ok) return serve::method_not_allowed(m.route);
+  switch (m.route) {
+    case Route::kHealthz:
+      return {m.route, 200, "ok\n", "text/plain"};
+    case Route::kReadyz:
+      if (!drain_requested_) return handle_readyz();
+      return {m.route, 503, "{\"error\":\"draining\"}"};
+    case Route::kMetrics:
+      return handle_metrics();
+    case Route::kSummary:
+      return handle_summary();
+    case Route::kVerdicts:
+    case Route::kScore:
+      return proxy_to_owner(m.route, m.arg);
+    case Route::kSuspects:
+      return handle_suspects(req.target);
+    case Route::kCheckpoint:
+      return handle_checkpoint();
+    case Route::kDrain: {
+      if (drain_done_) return drain_reply_;
       // Deferred: the router stops accepting ingest, reads the connected
       // streams to EOF, pushes every buffered record, closes the
       // forwarder connections (EOF to the backends) and fans the drain
       // out — the caller is answered only when the whole cluster has
       // quiesced (complete_drain()).
       drain_requested_ = true;
-      c.awaiting_drain = true;
-      if (metrics_) metrics_->http_requests(route, 200).inc();
-      return;
+      HttpReply reply(m.route, 200, {});
+      reply.deferred = true;
+      return reply;
     }
-  } else if (req.target.rfind("/admin/backends/", 0) == 0 &&
-             req.target.size() > 16) {
-    route = "/admin/backends/{name}";
-    if (req.method == "POST") {
-      handle_replace(req.target.substr(16), req.body, status, body);
-    } else {
-      respond_method_not_allowed("/admin/backends/{name}");
-    }
+    case Route::kBackends:
+      return handle_replace(std::string(m.arg), req.body);
+    case Route::kOther:
+      break;
   }
-
-  if (metrics_) metrics_->http_requests(route, status).inc();
-  c.wbuf += http_response(status, content_type, body);
-  c.close_after_write = true;
-  flush_write(c);
-}
-
-void Router::flush_write(Conn& c) {
-  while (c.woff < c.wbuf.size()) {
-    const ssize_t n = ::send(c.fd.get(), c.wbuf.data() + c.woff,
-                             c.wbuf.size() - c.woff, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      c.dead = true;
-      return;
-    }
-    c.woff += static_cast<std::size_t>(n);
-  }
-  c.wbuf.clear();
-  c.woff = 0;
-  if (c.close_after_write) c.dead = true;
-}
-
-void Router::sweep_idle(Clock::time_point now) {
-  if (config_.idle_timeout_s <= 0) return;
-  const auto timeout = std::chrono::duration_cast<Clock::duration>(
-      std::chrono::duration<double>(config_.idle_timeout_s));
-  for (auto& conn : conns_) {
-    if (conn->dead) continue;
-    if (now - conn->last_activity > timeout) {
-      if (!conn->is_http) {
-        if (conn->mode == Conn::WireMode::kBinary) {
-          if (const auto err = conn->frame_decoder.finish()) {
-            process_frame_error(*err);
-          }
-        } else if (const auto fragment = conn->decoder.finish()) {
-          process_ingest_line(fragment->text, true);
-        }
-      }
-      conn->dead = true;
-    }
-  }
+  return {};
 }
 
 void Router::update_backend_gauges() {
@@ -1405,21 +947,12 @@ void Router::update_backend_gauges() {
         static_cast<std::int64_t>(f.spool_records()));
     metrics_->spool_age[i]->set(
         static_cast<std::int64_t>(f.spool_age_seconds(now)));
-    const std::uint64_t delta = f.dropped - metrics_->dropped_seen[i];
-    if (delta > 0) {
-      metrics_->fwd_dropped[i]->inc(delta);
-      metrics_->dropped_seen[i] = f.dropped;
-    }
-    const std::uint64_t sup = f.superseded - metrics_->superseded_seen[i];
-    if (sup > 0) {
-      metrics_->superseded[i]->inc(sup);
-      metrics_->superseded_seen[i] = f.superseded;
-    }
-    const std::uint64_t rec = f.reconnects - metrics_->reconnects_seen[i];
-    if (rec > 0) {
-      metrics_->reconnects[i]->inc(rec);
-      metrics_->reconnects_seen[i] = f.reconnects;
-    }
+    sync_counter(*metrics_->fwd_dropped[i], f.dropped,
+                 metrics_->dropped_seen[i]);
+    sync_counter(*metrics_->superseded[i], f.superseded,
+                 metrics_->superseded_seen[i]);
+    sync_counter(*metrics_->reconnects[i], f.reconnects,
+                 metrics_->reconnects_seen[i]);
   }
   stats_.records_dropped = dropped_total;
   stats_.records_superseded = superseded_total;
@@ -1466,83 +999,51 @@ bool Router::flush_all_blocking(int deadline_ms) {
 void Router::complete_drain() {
   flush_all_blocking(fanout_deadline_ms());
   std::vector<std::string> failed;
-  std::string ok_entries;
-  for (std::size_t i = 0; i < forwarders_.size(); ++i) {
-    Forwarder& f = *forwarders_[i];
+  for (const auto& f : forwarders_) {
     // A backend that still holds queued or spooled records at drain time
     // cannot have applied them: name it failed (close() counts the loss).
-    if (f.buffered() > 0 || f.spool_records() > 0) {
-      failed.push_back(f.addr().name);
+    if (f->buffered() > 0 || f->spool_records() > 0) {
+      failed.push_back(f->addr().name);
     }
-    f.close();  // EOF: the backend's drain can now see ingest quiesce
+    f->close();  // EOF: the backend's drain can now see ingest quiesce
   }
-  const auto mark_failed = [&failed](const std::string& name) {
+  std::string ok_entries;
+  const std::vector<std::string> refused = fan_out(
+      "POST", "/admin/drain", [&](std::size_t i, serve::HttpResponse& resp) {
+        if (resp.status == 200) {
+          append_backend_response(ok_entries, forwarders_[i]->addr().name,
+                                  resp.body);
+        }
+        return resp.status == 200;
+      });
+  for (const std::string& name : refused) {
     if (std::find(failed.begin(), failed.end(), name) == failed.end()) {
       failed.push_back(name);
     }
-  };
-  for (std::size_t i = 0; i < forwarders_.size(); ++i) {
-    const BackendAddr& addr = forwarders_[i]->addr();
-    try {
-      serve::HttpResponse resp = serve::http_post_deadline(
-          addr.host, addr.http_port, "/admin/drain", fanout_deadline_ms());
-      if (resp.status == 200) {
-        if (!ok_entries.empty()) ok_entries += ',';
-        ok_entries += "{\"name\":\"" + addr.name +
-                      "\",\"response\":" + resp.body + "}";
-      } else {
-        mark_failed(addr.name);
-      }
-    } catch (const NetError&) {
-      mark_failed(addr.name);
-      if (metrics_) metrics_->backend_errors[i]->inc();
-    }
   }
-  if (failed.empty()) {
-    drain_status_ = 200;
-    drain_body_ =
-        "{\"status\":\"drained\",\"backends\":[" + ok_entries + "]}";
-  } else {
-    // Not atomic: backends that answered 200 have drained and exited;
-    // the rest are listed for the operator (docs/CLUSTER.md, failure
-    // semantics).
-    drain_status_ = 502;
-    drain_body_ = "{\"error\":\"drain fan-out failed\",\"failed\":";
-    append_json_string_array(drain_body_, failed);
-    drain_body_ += "}";
-  }
+  // Not atomic on failure: backends that answered 200 have drained and
+  // exited; the rest are listed for the operator (docs/CLUSTER.md, failure
+  // semantics).
+  drain_reply_ =
+      failed.empty()
+          ? HttpReply(Route::kDrain, 200,
+                      "{\"status\":\"drained\",\"backends\":[" + ok_entries +
+                          "]}")
+          : HttpReply(Route::kDrain, 502,
+                      failed_json("drain fan-out failed", failed));
   drain_done_ = true;
-  for (const auto& conn : conns_) {
-    if (conn->dead || !conn->awaiting_drain) continue;
-    conn->awaiting_drain = false;
-    if (metrics_ && drain_status_ != 200) {
-      metrics_->http_requests("/admin/drain", drain_status_).inc();
-    }
-    conn->wbuf += http_response(drain_status_, "application/json",
-                                drain_body_);
-    conn->close_after_write = true;
-    flush_write(*conn);
-  }
+  core_.answer_deferred(drain_reply_);
 }
 
 RouteStats Router::run(const std::atomic<bool>* stop) {
   if (!started_) throw std::logic_error("Router::run before start()");
 
   std::vector<pollfd> pollfds;
-  std::vector<std::size_t> conn_of_pollfd;
+  std::vector<std::size_t> tags;  // parallel to pollfds
 
   while (true) {
     if (stop != nullptr && stop->load(std::memory_order_relaxed)) break;
-    if (drain_done_) {
-      bool waiting = false;
-      for (const auto& c : conns_) {
-        if (!c->dead && (c->awaiting_drain || !c->wbuf.empty())) {
-          waiting = true;
-          break;
-        }
-      }
-      if (!waiting) break;
-    }
+    if (drain_done_ && !core_.answering()) break;
 
     // Backpressure with hysteresis: pause client reads when any backend
     // queue crosses the high-water mark — the socket buffer or the spool
@@ -1569,16 +1070,7 @@ RouteStats Router::run(const std::atomic<bool>* stop) {
     }
 
     pollfds.clear();
-    conn_of_pollfd.clear();
-    const bool at_cap = conns_.size() >= config_.max_connections;
-    if (!at_cap && !drain_requested_ && !paused_) {
-      pollfds.push_back({ingest_listener_.get(), POLLIN, 0});
-      conn_of_pollfd.push_back(kIngestListener);
-    }
-    if (!at_cap) {
-      pollfds.push_back({http_listener_.get(), POLLIN, 0});
-      conn_of_pollfd.push_back(kHttpListener);
-    }
+    tags.clear();
     for (std::size_t i = 0; i < forwarders_.size(); ++i) {
       const Forwarder& f = *forwarders_[i];
       if (!f.connected()) continue;
@@ -1588,12 +1080,12 @@ RouteStats Router::run(const std::atomic<bool>* stop) {
       short events = POLLIN;
       if (f.wants_write()) events |= POLLOUT;
       pollfds.push_back({f.fd(), events, 0});
-      conn_of_pollfd.push_back(kForwarderBase + i);
+      tags.push_back(kForwarderBase + i);
       if (f.binary_fd() >= 0) {
         short bin_events = POLLIN;
         if (f.wants_binary_write()) bin_events |= POLLOUT;
         pollfds.push_back({f.binary_fd(), bin_events, 0});
-        conn_of_pollfd.push_back(kForwarderBinBase + i);
+        tags.push_back(kForwarderBinBase + i);
       }
     }
     for (std::size_t i = 0; i < health_.size(); ++i) {
@@ -1606,17 +1098,12 @@ RouteStats Router::run(const std::atomic<bool>* stop) {
           h.phase == BackendHealth::ProbePhase::kReading ? POLLIN
                                                          : POLLOUT;
       pollfds.push_back({h.probe_fd.get(), events, 0});
-      conn_of_pollfd.push_back(kProbeBase + i);
+      tags.push_back(kProbeBase + i);
     }
-    for (std::size_t i = 0; i < conns_.size(); ++i) {
-      const Conn& c = *conns_[i];
-      short events = 0;
-      if (c.is_http || !paused_) events |= POLLIN;
-      if (c.woff < c.wbuf.size()) events |= POLLOUT;
-      if (events == 0) continue;  // paused ingest conn: leave it queued
-      pollfds.push_back({c.fd.get(), events, 0});
-      conn_of_pollfd.push_back(i);
-    }
+    // A paused router leaves its ingest connections unread (their bytes
+    // queue in the kernel) and stops accepting new ones.
+    core_.add_to_poll(pollfds, tags, !drain_requested_ && !paused_,
+                      /*accept_http=*/true, /*read_ingest=*/!paused_);
 
     const int ready = ::poll(pollfds.data(),
                              static_cast<nfds_t>(pollfds.size()),
@@ -1624,18 +1111,12 @@ RouteStats Router::run(const std::atomic<bool>* stop) {
     if (ready < 0 && errno != EINTR) {
       throw NetError(std::string("poll: ") + std::strerror(errno));
     }
+    const Clock::time_point polled_at = Clock::now();
 
     for (std::size_t i = 0; i < pollfds.size(); ++i) {
       if (pollfds[i].revents == 0) continue;
-      const std::size_t tag = conn_of_pollfd[i];
-      if (tag == kIngestListener) {
-        accept_ready(ingest_listener_, /*is_http=*/false);
-        continue;
-      }
-      if (tag == kHttpListener) {
-        accept_ready(http_listener_, /*is_http=*/true);
-        continue;
-      }
+      const std::size_t tag = tags[i];
+      if (core_.service(tag, pollfds[i].revents)) continue;
       if (tag >= kForwarderBinBase) {
         const bool binary = tag < kForwarderBase;
         Forwarder& f = *forwarders_[binary ? tag - kForwarderBinBase
@@ -1662,36 +1143,14 @@ RouteStats Router::run(const std::atomic<bool>* stop) {
         if ((pollfds[i].revents & POLLOUT) != 0) f.flush();
         continue;
       }
-      if (tag >= kProbeBase) {
-        probe_io(tag - kProbeBase, pollfds[i].revents);
-        continue;
-      }
-      Conn& c = *conns_[tag];
-      if (c.dead) continue;
-      if ((pollfds[i].revents & (POLLERR | POLLNVAL)) != 0) {
-        c.dead = true;
-        continue;
-      }
-      if ((pollfds[i].revents & POLLOUT) != 0) flush_write(c);
-      if (!c.dead && (pollfds[i].revents & (POLLIN | POLLHUP)) != 0) {
-        handle_read(c);
-      }
+      probe_io(tag - kProbeBase, pollfds[i].revents);
     }
 
     if (!drain_done_) check_health_timers(Clock::now());
 
-    sweep_idle(Clock::now());
+    core_.sweep_and_reap(polled_at);
 
-    for (const auto& c : conns_) {
-      if (c->dead) (c->is_http ? active_http_ : active_ingest_) -= 1;
-    }
-    conns_.erase(std::remove_if(conns_.begin(), conns_.end(),
-                                [](const std::unique_ptr<Conn>& c) {
-                                  return c->dead;
-                                }),
-                 conns_.end());
-
-    if (drain_requested_ && !drain_done_ && active_ingest_ == 0) {
+    if (drain_requested_ && !drain_done_ && hub_.open_ingest.load() == 0) {
       complete_drain();
     }
 
@@ -1700,10 +1159,11 @@ RouteStats Router::run(const std::atomic<bool>* stop) {
 
   // Teardown. The drain path already flushed and closed everything; the
   // stop path (SIGTERM) pushes what it can and leaves the backends up.
-  ingest_listener_.reset();
-  http_listener_.reset();
-  conns_.clear();
-  active_ingest_ = active_http_ = 0;
+  hub_.ingest_listener.reset();
+  hub_.http_listener.reset();
+  core_.clear();
+  stats_.http_requests = core_.requests();
+  stats_.connections = core_.accepted();
   if (drain_done_) {
     stats_.exit = RouteExit::kDrained;
   } else {

@@ -1,6 +1,10 @@
 // The geovalid route daemon: a single-threaded poll() event loop that
 // fronts N independent `geovalid serve` backends (docs/CLUSTER.md).
 //
+// Connections: the router runs on the same connection core as serve
+// (serve/conn.h) — one ConnCore with the router as its sink, so accept,
+// decoding, responses and the idle sweep behave identically on both.
+//
 // Data plane: ingest clients speak either serve wire format, negotiated
 // per connection from the first byte exactly as serve does (serve/wire.h).
 // Text: the router extracts only the *routing key* from each line — the
@@ -29,14 +33,14 @@
 // all-or-error), and POST /admin/backends/{name} — the rebalance hook
 // that points a ring name at a replacement process.
 //
-// Exactly-once across rebalance: the router keeps per-user counts of
-// records forwarded to each user's owner. Replacing a backend starts a
-// new *epoch*: clients re-send their full traces, the router silently
-// skips each healthy user's already-applied prefix, and the replacement
-// process's own checkpoint-resume skip (serve/server.h) deduplicates the
-// records its restored snapshot already covers. At-least-once delivery
-// in, exactly-once application out — the cluster-level restatement of
-// the serve resume contract.
+// Exactly-once across rebalance: the router keeps one CoverageLedger
+// (serve/coverage.h) — the per-user accounting serve's resume uses.
+// Replacing a backend starts a new *epoch*: clients re-send their full
+// traces, the router silently skips each healthy user's already-applied
+// prefix, and the replacement process's own checkpoint-resume skip
+// (serve/server.h) deduplicates the records its restored snapshot
+// already covers. At-least-once delivery in, exactly-once application
+// out — the cluster-level restatement of the serve resume contract.
 //
 // Self-healing (docs/ROBUSTNESS.md): the loop actively probes each
 // backend's /readyz with a connect/read deadline, driving the forwarder
@@ -55,33 +59,26 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/forwarder.h"
 #include "cluster/ring.h"
-#include "serve/net.h"
+#include "serve/conn.h"
+#include "serve/coverage.h"
 #include "serve/wire.h"
 #include "stream/quarantine.h"
 
 namespace geovalid::cluster {
 
-struct RouteConfig {
-  std::string host = "127.0.0.1";
-  std::uint16_t ingest_port = 0;  ///< 0 = ephemeral
-  std::uint16_t http_port = 0;    ///< 0 = ephemeral
-
+struct RouteConfig : serve::ConnConfig {
   /// The backends to front. Names must be unique; they are the ring
   /// identity and must stay stable across process replacement.
   std::vector<BackendAddr> backends;
   std::size_t vnodes = 128;  ///< ring points per backend
-
-  std::size_t max_connections = 1024;
-  double idle_timeout_s = 60.0;
-  std::size_t max_line_bytes = serve::kMaxLineBytes;
 
   /// Per-backend buffer high-water mark: when any backend's queue grows
   /// past this, the router stops reading from ingest clients (TCP
@@ -144,7 +141,7 @@ struct RouteStats {
   std::uint64_t connections = 0;
 };
 
-class Router {
+class Router final : private serve::ConnSink {
  public:
   /// Validates the backend list and builds the ring. Throws
   /// std::invalid_argument on an empty list or duplicate names.
@@ -160,8 +157,8 @@ class Router {
   /// listeners. Call once, before run().
   void start();
 
-  [[nodiscard]] std::uint16_t ingest_port() const { return ingest_port_; }
-  [[nodiscard]] std::uint16_t http_port() const { return http_port_; }
+  [[nodiscard]] std::uint16_t ingest_port() const { return hub_.ingest_port; }
+  [[nodiscard]] std::uint16_t http_port() const { return hub_.http_port; }
 
   /// The event loop: routes until `stop` becomes true (flushes and
   /// closes forwarder connections; backends keep running) or an
@@ -174,25 +171,25 @@ class Router {
   }
 
  private:
-  struct Conn;
   struct Metrics;
   using Clock = std::chrono::steady_clock;
 
   void register_metrics();
-  void accept_ready(serve::Fd& listener, bool is_http);
-  void handle_read(Conn& c);
-  void handle_ingest_eof(Conn& c);
-  void process_ingest_line(std::string_view text, bool truncated);
+
+  // ConnSink: what the connection core decodes.
+  /// One text line: the routing key picks the owner, the raw bytes go to
+  /// its forwarder verbatim.
+  void on_line(std::string_view text, bool truncated) override;
   /// One decoded binary frame: per-record epoch accounting, then the
   /// surviving events are partitioned by ring owner, re-encoded as one
   /// sub-frame per backend and queued on the binary channels.
-  void process_ingest_frame(serve::BinaryFrameDecoder::Frame& frame);
+  void on_frame(serve::BinaryFrameDecoder::Frame& frame) override;
   /// One rejected binary frame: counted as a single malformed record and
   /// dead-lettered (hex-prefix detail) as `malformed_frame`.
-  void process_frame_error(const serve::FrameError& error);
-  void route_request(Conn& c);
-  void flush_write(Conn& c);
-  void sweep_idle(Clock::time_point now);
+  void on_frame_error(const serve::FrameError& error) override;
+  serve::HttpReply on_request(const serve::HttpRequest& request) override;
+
+  void count_malformed();
   void update_backend_gauges();
 
   /// Drives every pending forwarder buffer to the kernel, polling up to
@@ -206,16 +203,9 @@ class Router {
   /// Non-blocking health probe to one backend's GET /readyz, driven by
   /// the router's poll loop under its own fd tag.
   struct BackendHealth {
-    enum class ProbePhase : std::uint8_t {
-      kIdle,
-      kConnecting,
-      kSending,
-      kReading,
-    };
+    enum class ProbePhase : std::uint8_t { kIdle, kConnecting, kReading };
     ProbePhase phase = ProbePhase::kIdle;
     serve::Fd probe_fd;
-    std::string probe_out;  ///< request bytes still to send
-    std::size_t probe_off = 0;
     std::string probe_in;  ///< raw response accumulated to EOF
     Clock::time_point probe_deadline{};
     Clock::time_point next_probe_at{};  ///< epoch start = immediately due
@@ -239,34 +229,38 @@ class Router {
   void on_probe_failure(std::size_t index);
 
   /// The epoch reset handle_replace pioneered, shared with instance-change
-  /// recovery: sever ingest clients, fold sent_ into covered_, zero the
-  /// covered prefix for users owned by `index`, clear per-epoch maps.
-  /// Returns how many users' coverage was reset.
+  /// recovery: sever ingest clients, then fold the ledger into a new epoch
+  /// with the users owned by `index` reset to prefix 0. Returns how many
+  /// users' coverage was reset.
   std::uint64_t begin_new_epoch(std::size_t index);
 
   [[nodiscard]] int fanout_deadline_ms() const;
 
-  [[nodiscard]] std::uint64_t covered_count(trace::UserId user) const;
+  /// One control-plane call (`method` GET or POST) to every backend under
+  /// the fan-out deadline. `on_reply(i, response)` judges each answer; an
+  /// unreachable backend counts in cluster_backend_errors_total. Backends
+  /// `skip` selects are not called. Returns, in ring order, the names of
+  /// the backends that were skipped, unreachable or judged failed.
+  std::vector<std::string> fan_out(
+      const std::string& method, const std::string& target,
+      const std::function<bool(std::size_t, serve::HttpResponse&)>& on_reply,
+      const std::function<bool(std::size_t)>& skip = {});
 
   // Control-plane handlers (blocking fan-out over backend HTTP).
-  void handle_readyz(int& status, std::string& content_type,
-                     std::string& body);
-  void handle_metrics(int& status, std::string& content_type,
-                      std::string& body);
-  void handle_summary(int& status, std::string& body);
-  void handle_proxy_verdicts(std::string_view id_text, int& status,
-                             std::string& body);
-  /// Score lookup proxied to the ring owner (docs/DETECTION.md).
-  void handle_proxy_score(std::string_view id_text, int& status,
-                          std::string& body);
+  serve::HttpReply handle_readyz();
+  serve::HttpReply handle_metrics();
+  serve::HttpReply handle_summary();
+  /// /v1/users/{id}/verdicts or /score, proxied to the ring owner
+  /// (docs/DETECTION.md for the score).
+  serve::HttpReply proxy_to_owner(serve::Route route,
+                                  std::string_view id_text);
   /// /v1/suspects[?k=N]: fan out, merge the per-backend top-k lists into
   /// one ranking (score desc, user id asc; score bytes re-emitted
   /// verbatim), lead the body with "backends":N.
-  void handle_suspects(std::string_view target, int& status,
-                       std::string& body);
-  void handle_checkpoint(int& status, std::string& body);
-  void handle_replace(const std::string& name, const std::string& json,
-                      int& status, std::string& body);
+  serve::HttpReply handle_suspects(std::string_view target);
+  serve::HttpReply handle_checkpoint();
+  serve::HttpReply handle_replace(const std::string& name,
+                                  const std::string& json);
   void complete_drain();
 
   RouteConfig config_;
@@ -276,24 +270,14 @@ class Router {
   std::optional<stream::NetFaultInjector> fault_injector_;
   std::optional<stream::Quarantine> quarantine_;
 
-  serve::Fd ingest_listener_;
-  serve::Fd http_listener_;
-  std::uint16_t ingest_port_ = 0;
-  std::uint16_t http_port_ = 0;
+  /// The connection core (listeners, cap, connections) and its hub.
+  serve::ConnHub hub_;
+  serve::ConnCore core_{hub_, *this};
   bool started_ = false;
-
-  std::vector<std::unique_ptr<Conn>> conns_;
-  std::size_t active_ingest_ = 0;
-  std::size_t active_http_ = 0;
   bool paused_ = false;  ///< backpressure: ingest reads suspended
 
-  /// Epoch accounting (see the header comment): `covered_` is the prefix
-  /// already applied at the owner as of the last epoch change, `sent_`
-  /// the records forwarded on top of it this epoch, `arrived_` the
-  /// records received this epoch.
-  std::unordered_map<trace::UserId, std::uint64_t> arrived_;
-  std::unordered_map<trace::UserId, std::uint64_t> covered_;
-  std::unordered_map<trace::UserId, std::uint64_t> sent_;
+  /// Per-user epoch accounting (see the header comment).
+  serve::CoverageLedger ledger_;
 
   /// Reused per-frame partition scratch: one event bucket per backend
   /// (ring order) plus the re-encode buffer — no allocation per frame
@@ -303,8 +287,7 @@ class Router {
 
   bool drain_requested_ = false;
   bool drain_done_ = false;
-  std::string drain_body_;  ///< response for (late) drain callers
-  int drain_status_ = 200;
+  serve::HttpReply drain_reply_;  ///< the answer for (late) drain callers
 
   RouteStats stats_;
   std::unique_ptr<Metrics> metrics_;

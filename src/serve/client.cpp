@@ -171,12 +171,6 @@ ConnResult replay_connection(const LoadgenConfig& config,
   }
 }
 
-void append_json_number(std::string& out, double v) {
-  char buf[40];
-  const auto [p, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  out.append(buf, static_cast<std::size_t>(p - buf));
-}
-
 }  // namespace
 
 LoadgenStats run_loadgen(std::span<const stream::Event> events,
@@ -318,11 +312,11 @@ std::string to_json(const LoadgenStats& stats) {
   out += ",\"bytes_sent\":";
   out += std::to_string(stats.bytes_sent);
   out += ",\"send_seconds\":";
-  append_json_number(out, stats.send_seconds);
+  append_number(out, stats.send_seconds);
   out += ",\"events_per_sec\":";
-  append_json_number(out, stats.events_per_sec);
+  append_number(out, stats.events_per_sec);
   out += ",\"encode_events_per_sec\":";
-  append_json_number(out, stats.encode_events_per_sec);
+  append_number(out, stats.encode_events_per_sec);
   out += ",\"failed_connections\":";
   out += std::to_string(stats.failed_connections);
   out += ",\"connect_failures\":";
@@ -336,7 +330,7 @@ std::string to_json(const LoadgenStats& stats) {
   out += ",\"metrics_ok\":";
   out += stats.metrics_ok ? "true" : "false";
   out += ",\"summary_latency_s\":";
-  append_json_number(out, stats.summary_latency_s);
+  append_number(out, stats.summary_latency_s);
   out += ",\"suspect_probes\":";
   out += std::to_string(stats.suspect_probes);
   out += ",\"suspect_probes_ok\":";
@@ -346,7 +340,7 @@ std::string to_json(const LoadgenStats& stats) {
   out += ",\"score_probes_ok\":";
   out += std::to_string(stats.score_probes_ok);
   out += ",\"suspect_latency_s\":";
-  append_json_number(out, stats.suspect_latency_s);
+  append_number(out, stats.suspect_latency_s);
   out += ",\"suspects\":";
   out += stats.suspects_json.empty() ? "null" : stats.suspects_json;
   out += ",\"summary\":";

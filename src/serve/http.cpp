@@ -14,6 +14,42 @@ std::string to_lower(std::string_view s) {
   return out;
 }
 
+/// Route table, in Route order: the metric label (also the target of the
+/// exact-match routes) and the one method the route answers.
+struct RouteSpec {
+  std::string_view label;
+  std::string_view method;
+};
+constexpr RouteSpec kRoutes[kRouteCount] = {
+    {"/healthz", "GET"},
+    {"/readyz", "GET"},
+    {"/metrics", "GET"},
+    {"/v1/summary", "GET"},
+    {"/v1/users/{id}/verdicts", "GET"},
+    {"/v1/users/{id}/score", "GET"},
+    {"/v1/suspects", "GET"},
+    {"/admin/checkpoint", "POST"},
+    {"/admin/drain", "POST"},
+    {"/admin/backends/{name}", "POST"},
+    {"other", ""},
+};
+
+bool ends_with(std::string_view s, std::string_view suffix) {
+  return s.size() >= suffix.size() &&
+         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+}
+
+template <typename T>
+std::optional<T> parse_whole(std::string_view text) {
+  T value{};
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (text.empty() || ec != std::errc{} || ptr != text.data() + text.size()) {
+    return std::nullopt;
+  }
+  return value;
+}
+
 std::string_view trim(std::string_view s) {
   while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) {
     s.remove_prefix(1);
@@ -120,6 +156,52 @@ HttpRequestParser::State HttpRequestParser::parse_head() {
     return fail(501, "chunked requests unsupported");
   }
   return state_;
+}
+
+std::string_view route_label(Route route) {
+  return kRoutes[static_cast<std::size_t>(route)].label;
+}
+
+RouteMatch match_route(const HttpRequest& request) {
+  const std::string_view t = request.target;
+  RouteMatch m;
+  // The {id} slice: "/v1/users/verdicts" yields "verdicts" and
+  // "/v1/users//verdicts" an empty id; both answer 400.
+  if (t.rfind("/v1/users/", 0) == 0 && t.size() > 10 &&
+      ends_with(t, "/verdicts")) {
+    m.route = Route::kVerdicts;
+    m.arg = t.substr(10, t.size() - 19);
+  } else if (t.rfind("/v1/users/", 0) == 0 && t.size() > 10 &&
+             ends_with(t, "/score")) {
+    m.route = Route::kScore;
+    m.arg = t.substr(10, t.size() - 16);
+  } else if (t == "/v1/suspects" || t.rfind("/v1/suspects?k=", 0) == 0) {
+    m.route = Route::kSuspects;
+  } else if (t.rfind("/admin/backends/", 0) == 0 && t.size() > 16) {
+    m.route = Route::kBackends;
+    m.arg = t.substr(16);
+  } else {
+    for (std::size_t i = 0; i < kRouteCount; ++i) {
+      if (kRoutes[i].label == t) m.route = static_cast<Route>(i);
+    }
+  }
+  m.method_ok = m.route == Route::kOther ||
+                request.method ==
+                    kRoutes[static_cast<std::size_t>(m.route)].method;
+  return m;
+}
+
+std::optional<std::uint32_t> parse_user_id(std::string_view text) {
+  return parse_whole<std::uint32_t>(text);
+}
+
+std::optional<std::size_t> parse_suspects_k(std::string_view target) {
+  if (target == "/v1/suspects") return 10;
+  return parse_whole<std::size_t>(target.substr(15));
+}
+
+HttpReply method_not_allowed(Route route) {
+  return {route, 405, "{\"error\":\"method not allowed\"}"};
 }
 
 std::string http_response(

@@ -1,14 +1,16 @@
-// Minimal HTTP/1.1 server-side message handling for the serve control
-// plane.
+// Minimal HTTP/1.1 server-side message handling for the control planes of
+// both front ends (serve and route).
 //
-// Scope is deliberately tiny — the control plane serves five fixed routes
-// to curl / Prometheus / the loadgen probe, all with `Connection: close`:
-// an incremental request parser (head + optional Content-Length body, hard
-// caps on both, tolerant of any recv() chunking) and a response builder.
-// No keep-alive, no chunked transfer, no TLS.
+// Scope is deliberately tiny — a fixed route table served to curl /
+// Prometheus / the loadgen probe, all with `Connection: close`: an
+// incremental request parser (head + optional Content-Length body, hard
+// caps on both, tolerant of any recv() chunking), the route table with its
+// target parsing, and a response builder. No keep-alive, no chunked
+// transfer, no TLS.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -67,6 +69,71 @@ class HttpRequestParser {
   int error_status_ = 400;
   std::string error_;
 };
+
+/// The control-plane routes. Declaration order is the metric-label order;
+/// kOther collects every unknown target, so hostile clients cannot mint
+/// unbounded `route` label values. Serve has no kBackends (the router's
+/// rebalance hook) and treats it as kOther.
+enum class Route : std::uint8_t {
+  kHealthz,
+  kReadyz,
+  kMetrics,
+  kSummary,
+  kVerdicts,  ///< /v1/users/{id}/verdicts
+  kScore,     ///< /v1/users/{id}/score
+  kSuspects,  ///< /v1/suspects[?k=N]
+  kCheckpoint,
+  kDrain,
+  kBackends,  ///< /admin/backends/{name}
+  kOther,
+};
+inline constexpr std::size_t kRouteCount = 11;
+
+/// The `route` label of *_http_requests_total, e.g. "/v1/users/{id}/score".
+[[nodiscard]] std::string_view route_label(Route route);
+
+/// A request target matched against the route table.
+struct RouteMatch {
+  Route route = Route::kOther;
+  /// The request used the route's one method (POST under /admin/, GET
+  /// elsewhere). Always true for kOther: an unknown target is a 404.
+  bool method_ok = true;
+  /// The {id} text of the user routes, the {name} of kBackends.
+  std::string_view arg;
+};
+
+[[nodiscard]] RouteMatch match_route(const HttpRequest& request);
+
+/// A whole decimal user id; nullopt for empty or non-numeric text.
+[[nodiscard]] std::optional<std::uint32_t> parse_user_id(
+    std::string_view text);
+
+/// The k of /v1/suspects[?k=N] (10 when absent); nullopt when malformed.
+[[nodiscard]] std::optional<std::size_t> parse_suspects_k(
+    std::string_view target);
+
+/// One control-plane answer, as a front end's router builds it.
+struct HttpReply {
+  HttpReply() = default;
+  HttpReply(Route r, int s, std::string b,
+            std::string type = "application/json")
+      : route(r),
+        status(s),
+        content_type(std::move(type)),
+        body(std::move(b)) {}
+
+  Route route = Route::kOther;
+  int status = 404;
+  std::string content_type = "application/json";
+  std::string body = "{\"error\":\"not found\"}";
+  std::vector<std::pair<std::string, std::string>> headers;
+  /// Answered later (POST /admin/drain): the caller waits on the
+  /// connection until the front end has quiesced.
+  bool deferred = false;
+};
+
+/// The 405 answer for a route reached with the wrong method.
+[[nodiscard]] HttpReply method_not_allowed(Route route);
 
 /// Serializes one response with Content-Length and `Connection: close`.
 /// `extra_headers` are appended verbatim (e.g. a Content-Type override is

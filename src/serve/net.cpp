@@ -57,28 +57,6 @@ std::string build_request(const std::string& host, const std::string& method,
   return request;
 }
 
-HttpResponse parse_response(const std::string& raw, const std::string& method,
-                            const std::string& target) {
-  HttpResponse resp;
-  const std::size_t line_end = raw.find("\r\n");
-  if (line_end == std::string::npos) {
-    throw NetError("http " + method + " " + target + ": short response");
-  }
-  const std::string status_line = raw.substr(0, line_end);
-  const std::size_t sp = status_line.find(' ');
-  if (sp == std::string::npos) {
-    throw NetError("http: malformed status line: " + status_line);
-  }
-  resp.status = std::atoi(status_line.c_str() + sp + 1);
-  const std::size_t head_end = raw.find("\r\n\r\n");
-  if (head_end == std::string::npos) {
-    throw NetError("http: response head never ended");
-  }
-  resp.headers = raw.substr(line_end + 2, head_end - line_end - 2);
-  resp.body = raw.substr(head_end + 4);
-  return resp;
-}
-
 HttpResponse http_request(const std::string& host, std::uint16_t port,
                           const std::string& method,
                           const std::string& target,
@@ -89,7 +67,8 @@ HttpResponse http_request(const std::string& host, std::uint16_t port,
                 build_request(host, method, target, body, content_type))) {
     throw NetError("http " + method + " " + target + ": peer closed");
   }
-  return parse_response(recv_all(fd.get()), method, target);
+  return parse_http_response(recv_all(fd.get()),
+                             "http " + method + " " + target);
 }
 
 using Clock = std::chrono::steady_clock;
@@ -174,7 +153,7 @@ HttpResponse http_request_deadline(const std::string& host,
     if (n == 0) break;
     raw.append(buf, static_cast<std::size_t>(n));
   }
-  return parse_response(raw, method, target);
+  return parse_http_response(raw, "http " + method + " " + target);
 }
 
 }  // namespace
@@ -221,26 +200,32 @@ Fd tcp_connect(const std::string& host, std::uint16_t port) {
   return fd;
 }
 
-Fd tcp_connect_deadline(const std::string& host, std::uint16_t port,
-                        int timeout_ms) {
-  const std::string what = "connect " + host + ":" + std::to_string(port);
+Fd tcp_connect_start(const std::string& host, std::uint16_t port) {
   Fd fd(::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0));
   if (!fd.valid()) throw_errno("socket");
   const sockaddr_in addr = make_addr(host, port);
   if (::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    if (errno != EINPROGRESS) throw_errno(what);
-    const Clock::time_point deadline =
-        Clock::now() + std::chrono::milliseconds(timeout_ms);
-    if (!poll_until(fd.get(), POLLOUT, deadline)) throw_deadline(what);
-    int err = 0;
-    socklen_t len = sizeof(err);
-    if (::getsockopt(fd.get(), SOL_SOCKET, SO_ERROR, &err, &len) != 0) {
-      throw_errno("getsockopt(SO_ERROR)");
-    }
-    if (err != 0) {
-      throw NetError(what + ": " + std::strerror(err));
-    }
+                sizeof(addr)) != 0 &&
+      errno != EINPROGRESS) {
+    throw_errno("connect " + host + ":" + std::to_string(port));
+  }
+  return fd;
+}
+
+Fd tcp_connect_deadline(const std::string& host, std::uint16_t port,
+                        int timeout_ms) {
+  const std::string what = "connect " + host + ":" + std::to_string(port);
+  Fd fd = tcp_connect_start(host, port);
+  const Clock::time_point deadline =
+      Clock::now() + std::chrono::milliseconds(timeout_ms);
+  if (!poll_until(fd.get(), POLLOUT, deadline)) throw_deadline(what);
+  int err = 0;
+  socklen_t len = sizeof(err);
+  if (::getsockopt(fd.get(), SOL_SOCKET, SO_ERROR, &err, &len) != 0) {
+    throw_errno("getsockopt(SO_ERROR)");
+  }
+  if (err != 0) {
+    throw NetError(what + ": " + std::strerror(err));
   }
   return fd;
 }
@@ -300,6 +285,28 @@ std::string HttpResponse::header(std::string_view name) const {
     pos = end + 2;
   }
   return {};
+}
+
+HttpResponse parse_http_response(const std::string& raw,
+                                 const std::string& what) {
+  HttpResponse resp;
+  const std::size_t line_end = raw.find("\r\n");
+  if (line_end == std::string::npos) {
+    throw NetError(what + ": short response");
+  }
+  const std::string status_line = raw.substr(0, line_end);
+  const std::size_t sp = status_line.find(' ');
+  if (sp == std::string::npos) {
+    throw NetError(what + ": malformed status line: " + status_line);
+  }
+  resp.status = std::atoi(status_line.c_str() + sp + 1);
+  const std::size_t head_end = raw.find("\r\n\r\n");
+  if (head_end == std::string::npos) {
+    throw NetError(what + ": response head never ended");
+  }
+  resp.headers = raw.substr(line_end + 2, head_end - line_end - 2);
+  resp.body = raw.substr(head_end + 4);
+  return resp;
 }
 
 HttpResponse http_get(const std::string& host, std::uint16_t port,

@@ -66,6 +66,13 @@ class Fd {
 /// Blocking connect to host:port. Throws NetError.
 [[nodiscard]] Fd tcp_connect(const std::string& host, std::uint16_t port);
 
+/// Starts a non-blocking connect: the returned fd's connect is complete or
+/// in flight (EINPROGRESS) — poll it for POLLOUT, then read SO_ERROR.
+/// Never blocks. Throws NetError on immediate failure, including a host
+/// that is not an IPv4 dotted quad.
+[[nodiscard]] Fd tcp_connect_start(const std::string& host,
+                                   std::uint16_t port);
+
 /// Connect with a deadline: non-blocking connect + poll, so a blackholed
 /// or unroutable peer fails in `timeout_ms` instead of the kernel's
 /// minutes-long default. The returned fd is left non-blocking. Throws
@@ -93,6 +100,12 @@ struct HttpResponse {
   /// Case-insensitive single-header lookup; empty when absent.
   [[nodiscard]] std::string header(std::string_view name) const;
 };
+
+/// Parses one whole raw response (status line, header block, body).
+/// Throws NetError, prefixed with `what`, when it is malformed or cut
+/// short.
+[[nodiscard]] HttpResponse parse_http_response(const std::string& raw,
+                                               const std::string& what);
 
 [[nodiscard]] HttpResponse http_get(const std::string& host,
                                     std::uint16_t port,

@@ -1,12 +1,9 @@
 #include "serve/server.h"
 
 #include <poll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
-#include <charconv>
 #include <cstring>
 #include <stdexcept>
 #include <thread>
@@ -16,7 +13,6 @@
 #include "match/classifier.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "serve/http.h"
 #include "stream/checkpoint.h"
 #include "stream/snapshot_io.h"
 
@@ -29,20 +25,6 @@ using Clock = std::chrono::steady_clock;
 /// granularity — the longest a reactor can lag behind a rendezvous.
 constexpr int kPollTimeoutMs = 100;
 
-/// Per-connection read budget per loop iteration, so one firehose client
-/// cannot starve the others between polls.
-constexpr std::size_t kReadBudgetBytes = 256 * 1024;
-
-/// The fixed route vocabulary of serve_http_requests_total{route=...} —
-/// unknown targets collapse into "other" so hostile clients cannot mint
-/// unbounded label values.
-constexpr const char* kRouteLabels[] = {
-    "/healthz",          "/readyz",        "/metrics",
-    "/v1/summary",       "/v1/users/{id}/verdicts",
-    "/v1/users/{id}/score",                "/v1/suspects",
-    "/admin/checkpoint", "/admin/drain",   "other",
-};
-
 std::uint64_t ns_since(Clock::time_point start) {
   const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                       Clock::now() - start)
@@ -50,142 +32,112 @@ std::uint64_t ns_since(Clock::time_point start) {
   return ns > 0 ? static_cast<std::uint64_t>(ns) : 0;
 }
 
-void append_json_number(std::string& out, double v) {
-  char buf[40];
-  const auto [p, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  out.append(buf, static_cast<std::size_t>(p - buf));
+/// Coverage stripe of `user`, one of 64: the splitmix64 multiplier the
+/// engine shards with; the top bits keep sequential ids from piling onto
+/// one stripe.
+std::size_t stripe_of(trace::UserId user) {
+  return static_cast<std::size_t>(
+      (static_cast<std::uint64_t>(user) * 0x9E3779B97F4A7C15ULL) >> 58);
 }
 
-void append_json_number(std::string& out, std::uint64_t v) {
-  out += std::to_string(v);
+std::string drained_json(std::uint64_t cursor) {
+  return "{\"status\":\"drained\",\"cursor\":" + std::to_string(cursor) +
+         "}";
 }
 
 void append_partition_json(std::string& out, const match::Partition& p) {
   out += "{\"honest\":";
-  append_json_number(out, static_cast<std::uint64_t>(p.honest));
+  append_number(out, static_cast<std::uint64_t>(p.honest));
   out += ",\"extraneous\":";
-  append_json_number(out, static_cast<std::uint64_t>(p.extraneous));
+  append_number(out, static_cast<std::uint64_t>(p.extraneous));
   out += ",\"missing\":";
-  append_json_number(out, static_cast<std::uint64_t>(p.missing));
+  append_number(out, static_cast<std::uint64_t>(p.missing));
   out += ",\"checkins\":";
-  append_json_number(out, static_cast<std::uint64_t>(p.checkins));
+  append_number(out, static_cast<std::uint64_t>(p.checkins));
   out += ",\"visits\":";
-  append_json_number(out, static_cast<std::uint64_t>(p.visits));
+  append_number(out, static_cast<std::uint64_t>(p.visits));
   out += ",\"by_class\":{";
   for (std::size_t c = 0; c < match::kCheckinClassCount; ++c) {
     if (c > 0) out += ',';
     out += '"';
     out += match::to_string(static_cast<match::CheckinClass>(c));
     out += "\":";
-    append_json_number(out, static_cast<std::uint64_t>(p.by_class[c]));
+    append_number(out, static_cast<std::uint64_t>(p.by_class[c]));
   }
   out += "}}";
 }
 
 std::string user_verdicts_json(const stream::UserVerdicts& v) {
   std::string out = "{\"user\":";
-  append_json_number(out, static_cast<std::uint64_t>(v.id));
+  append_number(out, static_cast<std::uint64_t>(v.id));
   out += ",\"partition\":";
   append_partition_json(out, v.partition);
   out += ",\"extraneous_ratio\":";
-  append_json_number(out, v.extraneous_ratio());
+  append_number(out, v.extraneous_ratio());
   out += ",\"interarrival\":{\"gaps\":";
-  append_json_number(out, v.gap_count);
+  append_number(out, v.gap_count);
   out += ",\"mean_min\":";
-  append_json_number(out, v.gap_mean_min);
+  append_number(out, v.gap_mean_min);
   out += ",\"stddev_min\":";
-  append_json_number(out, v.gap_stddev_min());
+  append_number(out, v.gap_stddev_min());
   out += ",\"burstiness\":";
-  append_json_number(out, v.burstiness());
+  append_number(out, v.burstiness());
   out += "}}";
   return out;
 }
 
 }  // namespace
 
-/// One accepted socket, either protocol, owned by exactly one reactor.
-/// Response bytes queue in `wbuf` and drip out under POLLOUT, so a slow
-/// reader never blocks its reactor.
-struct Server::Conn {
-  /// Ingest wire format, decided by the connection's first byte: 0xB1 (no
-  /// text record can start with it) selects binary frames for the
-  /// connection's lifetime, anything else the text grammar — existing
-  /// clients never see a difference.
-  enum class WireMode : std::uint8_t { kUndecided, kText, kBinary };
+/// One event-loop thread's private world: its connection core, its engine
+/// producer handle, and its serve_reactor_* metric handles. Nothing here
+/// is ever touched by another reactor. The reactor is its core's sink.
+struct Server::Reactor final : ConnSink {
+  Reactor(Server& s, std::size_t i)
+      : server(s),
+        index(i),
+        producer(*s.engine_),
+        core(s.hub_, *this, &s.crash_pending_) {}
 
-  Fd fd;
-  bool is_http = false;
-  bool dead = false;
-  bool close_after_write = false;
-  bool awaiting_drain = false;  ///< /admin/drain caller; answered once the
-                                ///< ingest side has quiesced
-  WireMode mode = WireMode::kUndecided;
-  LineDecoder decoder;
-  BinaryFrameDecoder frame_decoder;
-  HttpRequestParser parser;
-  std::string wbuf;
-  std::size_t woff = 0;
-  Clock::time_point last_activity;
-
-  explicit Conn(Fd socket, bool http, std::size_t max_line_bytes)
-      : fd(std::move(socket)), is_http(http), decoder(max_line_bytes) {
-    last_activity = Clock::now();
+  void on_line(std::string_view text, bool truncated) override {
+    server.process_ingest_line(*this, text, truncated);
   }
-};
+  void on_frame(BinaryFrameDecoder::Frame& frame) override {
+    server.process_ingest_frame(*this, frame);
+  }
+  void on_frame_error(const FrameError& error) override {
+    server.process_frame_error(error);
+  }
+  HttpReply on_request(const HttpRequest& request) override {
+    return server.route_request(*this, request);
+  }
 
-/// One event-loop thread's private world: the connections it accepted,
-/// its engine producer handle, and its serve_reactor_* metric handles.
-/// Nothing here is ever touched by another reactor.
-struct Server::Reactor {
+  Server& server;
   std::size_t index = 0;
-  std::vector<std::unique_ptr<Conn>> conns;
   stream::StreamEngine::Producer producer;
+  ConnCore core;
   /// Reusable per-frame scratch: the non-replayed slice of a decoded
   /// binary frame, handed to the engine in one stage_batch call.
   std::vector<stream::Event> frame_scratch;
 
   obs::Counter* m_events = nullptr;       ///< serve_reactor_events_total
-  obs::Counter* m_connections = nullptr;  ///< serve_reactor_connections_total
   obs::Counter* m_stalls = nullptr;       ///< serve_reactor_stalls_total
   obs::Histogram* m_loop_ns = nullptr;    ///< serve_reactor_loop_ns
   std::uint64_t stalls_synced = 0;  ///< producer stalls already mirrored
-
-  Reactor(std::size_t i, stream::StreamEngine& engine)
-      : index(i), producer(engine) {}
 };
 
-/// Cached serve_* metric handles (null when ServeConfig::metrics is off).
+/// Cached serve_* metric handles (null when ServeConfig::metrics is off);
+/// the connection families live in the hub's ConnMetrics.
 struct Server::Metrics {
-  obs::Counter* connections_ingest = nullptr;
-  obs::Counter* connections_http = nullptr;
-  obs::Gauge* active_ingest = nullptr;
-  obs::Gauge* active_http = nullptr;
-  obs::Counter* bytes_read_ingest = nullptr;
-  obs::Counter* bytes_read_http = nullptr;
-  obs::Counter* bytes_written_ingest = nullptr;
-  obs::Counter* bytes_written_http = nullptr;
   obs::Counter* records_applied = nullptr;
   obs::Counter* records_replayed = nullptr;
   obs::Counter* records_malformed = nullptr;
   obs::Gauge* ingest_lag = nullptr;
-  obs::Counter* idle_timeouts = nullptr;
   obs::Counter* accept_backpressure = nullptr;
   obs::Counter* wire_frames = nullptr;       ///< serve_wire_frames_total
-  obs::Counter* wire_bytes_text = nullptr;   ///< serve_wire_bytes_total
-  obs::Counter* wire_bytes_binary = nullptr;
   obs::Histogram* wire_batch_records = nullptr;
   /// serve_wire_malformed_frames_total{reason=...}, indexed by
   /// FrameErrorKind — the vocabulary is fixed and pre-registered.
   std::array<obs::Counter*, kFrameErrorKindCount> wire_malformed{};
-
-  /// serve_http_requests_total{route,status}; statuses appear lazily, the
-  /// route vocabulary is fixed (kRouteLabels).
-  obs::Counter& http_requests(const std::string& route, int status) {
-    return obs::registry().counter(
-        "serve_http_requests_total",
-        "Control-plane requests served, by route and response status",
-        {{"route", route}, {"status", std::to_string(status)}});
-  }
 };
 
 Server::Server(ServeConfig config) : config_(std::move(config)) {
@@ -207,9 +159,10 @@ Server::Server(ServeConfig config) : config_(std::move(config)) {
     config_.engine.model = &*model_;
   }
   engine_.emplace(config_.engine);
+  hub_.config = config_;
   reactors_.reserve(config_.reactors);
   for (std::size_t i = 0; i < config_.reactors; ++i) {
-    reactors_.push_back(std::make_unique<Reactor>(i, *engine_));
+    reactors_.push_back(std::make_unique<Reactor>(*this, i));
   }
   if (config_.metrics) register_metrics();
 }
@@ -220,30 +173,23 @@ void Server::register_metrics() {
   obs::Registry& r = obs::registry();
   metrics_ = std::make_unique<Metrics>();
   Metrics& m = *metrics_;
+  ConnMetrics& c = hub_.metrics;
   static constexpr std::string_view kConnHelp =
       "Connections accepted, by listener kind";
-  m.connections_ingest =
-      &r.counter("serve_connections_total", kConnHelp, {{"kind", "ingest"}});
-  m.connections_http =
-      &r.counter("serve_connections_total", kConnHelp, {{"kind", "http"}});
   static constexpr std::string_view kActiveHelp =
       "Currently open connections, by listener kind";
-  m.active_ingest =
-      &r.gauge("serve_connections_active", kActiveHelp, {{"kind", "ingest"}});
-  m.active_http =
-      &r.gauge("serve_connections_active", kActiveHelp, {{"kind", "http"}});
   static constexpr std::string_view kReadHelp =
       "Bytes received from clients, by listener kind";
-  m.bytes_read_ingest =
-      &r.counter("serve_bytes_read_total", kReadHelp, {{"kind", "ingest"}});
-  m.bytes_read_http =
-      &r.counter("serve_bytes_read_total", kReadHelp, {{"kind", "http"}});
   static constexpr std::string_view kWriteHelp =
       "Bytes sent to clients, by listener kind";
-  m.bytes_written_ingest = &r.counter("serve_bytes_written_total", kWriteHelp,
-                                      {{"kind", "ingest"}});
-  m.bytes_written_http = &r.counter("serve_bytes_written_total", kWriteHelp,
-                                    {{"kind", "http"}});
+  for (const bool http : {false, true}) {
+    const obs::Labels kind{{"kind", http ? "http" : "ingest"}};
+    c.accepted[http] = &r.counter("serve_connections_total", kConnHelp, kind);
+    c.active[http] = &r.gauge("serve_connections_active", kActiveHelp, kind);
+    c.bytes_read[http] = &r.counter("serve_bytes_read_total", kReadHelp, kind);
+    c.bytes_written[http] =
+        &r.counter("serve_bytes_written_total", kWriteHelp, kind);
+  }
   static constexpr std::string_view kRecordHelp =
       "Ingest records, by outcome: applied to the engine, replayed "
       "(checkpoint-covered prefix after a resume), malformed "
@@ -258,7 +204,7 @@ void Server::register_metrics() {
       "serve_ingest_lag_events",
       "Events accepted by the server but not yet processed by the engine "
       "workers (in-flight depth)");
-  m.idle_timeouts = &r.counter(
+  c.idle_timeouts = &r.counter(
       "serve_idle_timeouts_total",
       "Connections closed by the idle sweep");
   m.accept_backpressure = &r.counter(
@@ -270,10 +216,10 @@ void Server::register_metrics() {
       "Binary wire frames decoded and applied to the ingest path");
   static constexpr std::string_view kWireBytesHelp =
       "Ingest bytes received, by negotiated wire format";
-  m.wire_bytes_text = &r.counter("serve_wire_bytes_total", kWireBytesHelp,
-                                 {{"format", "text"}});
-  m.wire_bytes_binary = &r.counter("serve_wire_bytes_total", kWireBytesHelp,
-                                   {{"format", "binary"}});
+  c.wire_bytes[0] = &r.counter("serve_wire_bytes_total", kWireBytesHelp,
+                               {{"format", "text"}});
+  c.wire_bytes[1] = &r.counter("serve_wire_bytes_total", kWireBytesHelp,
+                               {{"format", "binary"}});
   m.wire_batch_records = &r.histogram(
       "serve_wire_batch_records",
       "Records per decoded binary frame (columnar batch size)");
@@ -288,7 +234,14 @@ void Server::register_metrics() {
   }
   // Pre-register the fixed route vocabulary with the success status, so a
   // scrape (and the obs-docs test) sees the family before any request.
-  for (const char* route : kRouteLabels) m.http_requests(route, 200);
+  // Serve has no rebalance hook: /admin/backends/{name} is not its label.
+  c.requests_family = "serve_http_requests_total";
+  c.requests_help =
+      "Control-plane requests served, by route and response status";
+  for (std::size_t i = 0; i < kRouteCount; ++i) {
+    const auto route = static_cast<Route>(i);
+    if (route != Route::kBackends) (void)c.requests(route, 200);
+  }
   // Per-reactor families, registered for every reactor up front so a
   // scrape always sees the full {reactor="0".."N-1"} vocabulary.
   for (auto& reactor : reactors_) {
@@ -296,7 +249,7 @@ void Server::register_metrics() {
     reactor->m_events = &r.counter(
         "serve_reactor_events_total",
         "Well-formed wire records decoded, per reactor thread", label);
-    reactor->m_connections = &r.counter(
+    reactor->core.loop_accepted = &r.counter(
         "serve_reactor_connections_total",
         "Connections accepted, per reactor thread", label);
     reactor->m_stalls = &r.counter(
@@ -315,10 +268,7 @@ void Server::start() {
   if (config_.resume && !config_.checkpoint_dir.empty()) {
     restore_from_checkpoint();
   }
-  ingest_listener_ = tcp_listen(config_.host, config_.ingest_port);
-  ingest_port_ = local_port(ingest_listener_.get());
-  http_listener_ = tcp_listen(config_.host, config_.http_port);
-  http_port_ = local_port(http_listener_.get());
+  hub_.listen();
   started_ = true;
 }
 
@@ -328,14 +278,10 @@ void Server::restore_from_checkpoint() {
   // Serve payload: per-user accepted-record coverage, then the engine
   // payload as an opaque blob.
   stream::SnapshotReader r(restored->payload);
-  const std::uint64_t users = r.u64();
-  for (std::uint64_t i = 0; i < users; ++i) {
-    const trace::UserId id = r.u32();
-    const std::uint64_t count = r.u64();
-    if (count == 0 || !resumed_.emplace(id, count).second) {
-      throw stream::SnapshotError(
-          "snapshot: malformed serve coverage table");
-    }
+  for (const auto& [user, covered] : CoverageLedger::read(r)) {
+    CoverageStripe& stripe = coverage_[stripe_of(user)];
+    std::lock_guard<std::mutex> lock(stripe.mu);
+    stripe.ledger.set_prefix(user, covered);
   }
   const std::string engine_payload = r.blob();
   if (!r.exhausted()) {
@@ -347,19 +293,10 @@ void Server::restore_from_checkpoint() {
   restored_cursor_ = restored->cursor;
 }
 
-std::uint64_t Server::resumed_count(trace::UserId user) const {
-  const auto it = resumed_.find(user);
-  return it == resumed_.end() ? 0 : it->second;
-}
-
-std::uint64_t Server::arrive(trace::UserId user) {
-  // Same splitmix64 multiplier the engine shards with; the top bits keep
-  // sequential ids from piling onto one stripe.
-  const std::size_t stripe = static_cast<std::size_t>(
-      (static_cast<std::uint64_t>(user) * 0x9E3779B97F4A7C15ULL) >> 58);
-  CoverageStripe& s = arrived_[stripe % kCoverageStripes];
+bool Server::arrive_covered(trace::UserId user) {
+  CoverageStripe& s = coverage_[stripe_of(user)];
   std::lock_guard<std::mutex> lock(s.mu);
-  return ++s.counts[user];
+  return s.ledger.arrive(user);
 }
 
 std::filesystem::path Server::write_checkpoint_now() {
@@ -368,101 +305,46 @@ std::filesystem::path Server::write_checkpoint_now() {
   // its full prefix yet when a checkpoint fires mid-replay). The stripe
   // locks make the snapshot consistent against record arrivals, though
   // run_quiesced has already parked every other reactor anyway.
-  std::vector<std::pair<trace::UserId, std::uint64_t>> coverage;
-  for (CoverageStripe& stripe : arrived_) {
+  Coverage coverage;
+  for (CoverageStripe& stripe : coverage_) {
     std::lock_guard<std::mutex> lock(stripe.mu);
-    coverage.insert(coverage.end(), stripe.counts.begin(),
-                    stripe.counts.end());
+    stripe.ledger.collect(coverage);
   }
-  for (const auto& [id, count] : resumed_) {
-    bool merged = false;
-    for (auto& [cid, ccount] : coverage) {
-      if (cid == id) {
-        ccount = std::max(ccount, count);
-        merged = true;
-        break;
-      }
-    }
-    if (!merged) coverage.emplace_back(id, count);
-  }
-  std::sort(coverage.begin(), coverage.end());
-
   stream::SnapshotWriter w;
-  w.u64(coverage.size());
-  for (const auto& [id, count] : coverage) {
-    w.u32(id);
-    w.u64(count);
-  }
+  CoverageLedger::write(w, std::move(coverage));
   w.blob(engine_->save_state());  // drains; quarantine flushed with it
   return stream::write_checkpoint(
       config_.checkpoint_dir,
       {cursor_.load(std::memory_order_relaxed), w.take()});
 }
 
-void Server::accept_ready(Reactor& r, Fd& listener, bool is_http) {
-  while (true) {
-    // Reserve the slot under the global cap *before* accepting, so N
-    // reactors racing on the shared listener can never overshoot
-    // --max-connections.
-    std::size_t cur = total_conns_.load(std::memory_order_relaxed);
-    do {
-      if (cur >= config_.max_connections) return;
-    } while (!total_conns_.compare_exchange_weak(cur, cur + 1,
-                                                 std::memory_order_relaxed));
-    int cfd = -1;
-    do {
-      cfd = ::accept4(listener.get(), nullptr, nullptr,
-                      SOCK_NONBLOCK | SOCK_CLOEXEC);
-    } while (cfd < 0 && errno == EINTR);
-    if (cfd < 0) {
-      total_conns_.fetch_sub(1, std::memory_order_relaxed);
-      if (errno == ECONNABORTED) continue;
-      return;  // EAGAIN (another reactor won), or a transient kernel error
-    }
-    r.conns.push_back(std::make_unique<Conn>(Fd(cfd), is_http,
-                                             config_.max_line_bytes));
-    connections_.fetch_add(1, std::memory_order_relaxed);
-    if (r.m_connections != nullptr) r.m_connections->inc();
-    if (is_http) {
-      ++active_http_;  // HTTP accepts happen on reactor 0 only
-      if (metrics_) {
-        metrics_->connections_http->inc();
-        metrics_->active_http->set(static_cast<std::int64_t>(active_http_));
-      }
-    } else {
-      const std::size_t active =
-          active_ingest_.fetch_add(1, std::memory_order_relaxed) + 1;
-      if (metrics_) {
-        metrics_->connections_ingest->inc();
-        metrics_->active_ingest->set(static_cast<std::int64_t>(active));
-      }
-    }
-  }
+void Server::count_malformed() {
+  records_malformed_.fetch_add(1, std::memory_order_relaxed);
+  if (metrics_) metrics_->records_malformed->inc();
+}
+
+void Server::count_applied(std::uint64_t applied) {
+  cursor_.fetch_add(applied, std::memory_order_relaxed);
+  records_since_checkpoint_.fetch_add(applied, std::memory_order_relaxed);
+  records_applied_.fetch_add(applied, std::memory_order_relaxed);
+  if (metrics_) metrics_->records_applied->inc(applied);
 }
 
 void Server::process_ingest_line(Reactor& r, std::string_view text,
                                  bool truncated) {
-  if (truncated) {
-    records_malformed_.fetch_add(1, std::memory_order_relaxed);
-    if (metrics_) metrics_->records_malformed->inc();
+  if (text.empty() && !truncated) return;  // blank keepalive line
+  const WireResult result =
+      truncated ? WireResult(WireError{}) : parse_wire_record(text);
+  const auto* e = std::get_if<stream::Event>(&result);
+  if (e == nullptr) {
+    count_malformed();
     quarantine_->record_raw(text, stream::QuarantineReason::kMalformedLine);
     return;
   }
-  if (text.empty()) return;  // blank keepalive line
-  const WireResult result = parse_wire_record(text);
-  if (const auto* error = std::get_if<WireError>(&result)) {
-    records_malformed_.fetch_add(1, std::memory_order_relaxed);
-    if (metrics_) metrics_->records_malformed->inc();
-    quarantine_->record_raw(text, stream::QuarantineReason::kMalformedLine);
-    (void)error;
-    return;
-  }
-  const stream::Event& e = std::get<stream::Event>(result);
   const std::uint64_t parsed =
       records_parsed_.fetch_add(1, std::memory_order_relaxed) + 1;
   if (r.m_events != nullptr) r.m_events->inc();
-  const std::uint64_t arrived = arrive(e.user);
-  if (arrived <= resumed_count(e.user)) {
+  if (arrive_covered(e->user)) {
     // Checkpoint-covered prefix re-sent after a resume: the engine state
     // already includes it. Skipping here is what turns the clients'
     // at-least-once redelivery into exactly-once application.
@@ -471,11 +353,8 @@ void Server::process_ingest_line(Reactor& r, std::string_view text,
   } else {
     // push() may block on engine backpressure — that is the design: TCP
     // receive buffers fill and the feed slows to what the shards sustain.
-    if (r.producer.push(e)) routed_.fetch_add(1, std::memory_order_relaxed);
-    cursor_.fetch_add(1, std::memory_order_relaxed);
-    records_since_checkpoint_.fetch_add(1, std::memory_order_relaxed);
-    records_applied_.fetch_add(1, std::memory_order_relaxed);
-    if (metrics_) metrics_->records_applied->inc();
+    if (r.producer.push(*e)) routed_.fetch_add(1, std::memory_order_relaxed);
+    count_applied(1);
   }
   if (config_.crash_after_records != 0 &&
       parsed >= config_.crash_after_records) {
@@ -498,29 +377,21 @@ void Server::process_ingest_frame(Reactor& r,
   // per-user, per-record), then the survivors reach the engine as one
   // columnar batch — a single stage_batch handoff per frame.
   r.frame_scratch.clear();
-  std::uint64_t replayed = 0;
   for (const stream::Event& e : frame.events) {
-    if (arrive(e.user) <= resumed_count(e.user)) {
-      ++replayed;
-    } else {
-      r.frame_scratch.push_back(e);
-    }
+    if (!arrive_covered(e.user)) r.frame_scratch.push_back(e);
   }
-  if (replayed > 0) {
-    records_replayed_.fetch_add(replayed, std::memory_order_relaxed);
-    if (metrics_) metrics_->records_replayed->inc(replayed);
+  const std::uint64_t applied = r.frame_scratch.size();
+  if (applied < count) {
+    records_replayed_.fetch_add(count - applied, std::memory_order_relaxed);
+    if (metrics_) metrics_->records_replayed->inc(count - applied);
   }
-  if (!r.frame_scratch.empty()) {
-    const std::uint64_t applied = r.frame_scratch.size();
+  if (applied > 0) {
     // stage_batch may block on engine backpressure, exactly like push():
     // TCP receive buffers fill and the feed slows to what the shards
     // sustain.
     routed_.fetch_add(r.producer.stage_batch(r.frame_scratch),
                       std::memory_order_relaxed);
-    cursor_.fetch_add(applied, std::memory_order_relaxed);
-    records_since_checkpoint_.fetch_add(applied, std::memory_order_relaxed);
-    records_applied_.fetch_add(applied, std::memory_order_relaxed);
-    if (metrics_) metrics_->records_applied->inc(applied);
+    count_applied(applied);
   }
   if (config_.crash_after_records != 0 &&
       parsed >= config_.crash_after_records) {
@@ -531,9 +402,8 @@ void Server::process_ingest_frame(Reactor& r,
 void Server::process_frame_error(const FrameError& error) {
   // One rejected frame counts as one malformed ingest record (its claimed
   // record count is exactly what cannot be trusted).
-  records_malformed_.fetch_add(1, std::memory_order_relaxed);
+  count_malformed();
   if (metrics_) {
-    metrics_->records_malformed->inc();
     metrics_->wire_malformed[static_cast<std::size_t>(error.kind)]->inc();
   }
   // The detail is already printable (reason + byte count + hex prefix) —
@@ -542,372 +412,133 @@ void Server::process_frame_error(const FrameError& error) {
                           stream::QuarantineReason::kMalformedFrame);
 }
 
-void Server::handle_ingest_eof(Reactor& r, Conn& c) {
-  if (c.mode == Conn::WireMode::kBinary) {
-    if (const auto error = c.frame_decoder.finish()) {
-      // Abrupt mid-frame disconnect: the incomplete tail is dead-lettered,
-      // never half-decoded into the engine.
-      process_frame_error(*error);
-    }
-  } else if (const auto fragment = c.decoder.finish()) {
-    // Abrupt mid-record disconnect: the unterminated tail is dead-lettered,
-    // never half-parsed into the engine.
-    process_ingest_line(r, fragment->text, true);
-  }
-  c.dead = true;
-}
-
-void Server::handle_read(Reactor& r, Conn& c) {
-  char buf[65536];
-  std::size_t budget = kReadBudgetBytes;
-  while (budget > 0 && !c.dead &&
-         !crash_pending_.load(std::memory_order_relaxed)) {
-    const ssize_t n =
-        ::recv(c.fd.get(), buf, std::min(sizeof(buf), budget), 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      c.dead = true;
-      return;
-    }
-    if (n == 0) {  // orderly EOF
-      if (c.is_http) {
-        c.dead = true;
-      } else {
-        handle_ingest_eof(r, c);
-      }
-      return;
-    }
-    budget -= static_cast<std::size_t>(n);
-    c.last_activity = Clock::now();
-    const std::string_view chunk(buf, static_cast<std::size_t>(n));
-    if (metrics_) {
-      (c.is_http ? metrics_->bytes_read_http : metrics_->bytes_read_ingest)
-          ->inc(static_cast<std::uint64_t>(n));
-    }
-    if (c.is_http) {
-      const auto state = c.parser.consume(chunk);
-      if (state == HttpRequestParser::State::kDone) {
-        route_request(r, c);
-        return;
-      }
-      if (state == HttpRequestParser::State::kError) {
-        http_requests_.fetch_add(1, std::memory_order_relaxed);
-        if (metrics_) {
-          metrics_->http_requests("other", c.parser.error_status()).inc();
-        }
-        c.wbuf += http_response(c.parser.error_status(), "text/plain",
-                                c.parser.error() + "\n");
-        c.close_after_write = true;
-        flush_write(c);
-        return;
-      }
-    } else {
-      if (c.mode == Conn::WireMode::kUndecided) {
-        c.mode = static_cast<unsigned char>(chunk.front()) == kFrameMagic0
-                     ? Conn::WireMode::kBinary
-                     : Conn::WireMode::kText;
-      }
-      if (c.mode == Conn::WireMode::kBinary) {
-        if (metrics_) {
-          metrics_->wire_bytes_binary->inc(static_cast<std::uint64_t>(n));
-        }
-        c.frame_decoder.feed(chunk);
-        while (auto result = c.frame_decoder.next()) {
-          if (auto* frame = std::get_if<BinaryFrameDecoder::Frame>(&*result)) {
-            process_ingest_frame(r, *frame);
-          } else {
-            process_frame_error(std::get<FrameError>(*result));
-          }
-          if (crash_pending_.load(std::memory_order_relaxed)) return;
-        }
-      } else {
-        if (metrics_) {
-          metrics_->wire_bytes_text->inc(static_cast<std::uint64_t>(n));
-        }
-        c.decoder.feed(chunk);
-        while (auto line = c.decoder.next()) {
-          process_ingest_line(r, line->text, line->truncated);
-          if (crash_pending_.load(std::memory_order_relaxed)) return;
-        }
-      }
-    }
-  }
-}
-
-void Server::route_request(Reactor& r, Conn& c) {
-  const HttpRequest& req = c.parser.request();
-  http_requests_.fetch_add(1, std::memory_order_relaxed);
-
-  std::string route = "other";
-  int status = 404;
-  std::string body = "{\"error\":\"not found\"}";
-  std::string content_type = "application/json";
-  std::vector<std::pair<std::string, std::string>> extra_headers;
-
-  const auto respond_method_not_allowed = [&](const char* route_name) {
-    route = route_name;
-    status = 405;
-    body = "{\"error\":\"method not allowed\"}";
+HttpReply Server::route_request(Reactor& r, const HttpRequest& req) {
+  RouteMatch m = match_route(req);
+  if (m.route == Route::kBackends) m = RouteMatch{};  // the router's hook
+  if (!m.method_ok) return method_not_allowed(m.route);
+  const auto json = [&m](int status, std::string body) {
+    return HttpReply(m.route, status, std::move(body));
   };
-
-  if (req.target == "/healthz") {
-    route = "/healthz";
-    if (req.method == "GET") {
-      status = 200;
-      content_type = "text/plain";
-      body = "ok\n";
-    } else {
-      respond_method_not_allowed("/healthz");
+  // Every quiesced read answers this when the crash hook fired meanwhile:
+  // the connection dies with the daemon.
+  const auto shutting_down = [&] {
+    return json(503, "{\"error\":\"shutting down\"}");
+  };
+  const auto no_model = [&] {
+    return json(409, "{\"error\":\"serving without a model\"}");
+  };
+  switch (m.route) {
+    case Route::kHealthz:
+      return {m.route, 200, "ok\n", "text/plain"};
+    case Route::kReadyz: {
+      // Readiness, as distinct from /healthz liveness: a draining daemon
+      // is alive but must not receive new traffic, which is what a router
+      // or orchestrator keys on. The other not-ready phase — checkpoint
+      // restore — runs synchronously in start() before the listeners
+      // bind, so it is correctly reported by connection refusal. The
+      // instance header travels on both outcomes so a router probe can
+      // learn the nonce even while the daemon drains.
+      HttpReply reply = drain_requested_.load(std::memory_order_relaxed)
+                            ? json(503, "{\"error\":\"draining\"}")
+                            : HttpReply(m.route, 200, "ready\n", "text/plain");
+      reply.headers.emplace_back("Geovalid-Instance", instance_id_);
+      return reply;
     }
-  } else if (req.target == "/readyz") {
-    // Readiness, as distinct from /healthz liveness: a draining daemon is
-    // alive but must not receive new traffic, which is what a router or
-    // orchestrator keys on. The other not-ready phase — checkpoint
-    // restore — runs synchronously in start() before the listeners bind,
-    // so it is correctly reported by connection refusal.
-    route = "/readyz";
-    if (req.method == "GET") {
-      // The instance header travels on both outcomes so a router probe
-      // can learn the nonce even while the daemon drains.
-      extra_headers.emplace_back("Geovalid-Instance", instance_id_);
-      if (drain_requested_.load(std::memory_order_relaxed)) {
-        status = 503;
-        body = "{\"error\":\"draining\"}";
-      } else {
-        status = 200;
-        content_type = "text/plain";
-        body = "ready\n";
-      }
-    } else {
-      respond_method_not_allowed("/readyz");
-    }
-  } else if (req.target == "/metrics") {
-    route = "/metrics";
-    if (req.method == "GET") {
+    case Route::kMetrics:
       update_lag_gauge();
-      status = 200;
-      content_type = std::string(obs::kPrometheusContentType);
-      body = obs::to_prometheus(obs::registry());
-    } else {
-      respond_method_not_allowed("/metrics");
-    }
-  } else if (req.target == "/v1/summary") {
-    route = "/v1/summary";
-    if (req.method == "GET") {
+      return {m.route, 200, obs::to_prometheus(obs::registry()),
+              std::string(obs::kPrometheusContentType)};
+    case Route::kSummary: {
       // summary_json() quiesces the engine (drain() inside
       // all_user_verdicts()), which requires the single-producer window
       // the pause gate provides.
-      if (run_quiesced(r, [&] { body = summary_json(); })) {
-        status = 200;
-      } else {
-        status = 503;  // crashing; the connection dies with the daemon
-        body = "{\"error\":\"shutting down\"}";
+      std::string body;
+      if (!run_quiesced(r, [&] { body = summary_json(); })) {
+        return shutting_down();
       }
-    } else {
-      respond_method_not_allowed("/v1/summary");
+      return json(200, std::move(body));
     }
-  } else if (req.target.rfind("/v1/users/", 0) == 0 &&
-             req.target.size() > 10 &&
-             req.target.compare(req.target.size() - 9, 9, "/verdicts") ==
-                 0) {
-    route = "/v1/users/{id}/verdicts";
-    const std::string_view id_text =
-        std::string_view(req.target).substr(10, req.target.size() - 19);
-    trace::UserId id = 0;
-    const auto [ptr, ec] =
-        std::from_chars(id_text.data(), id_text.data() + id_text.size(), id);
-    if (req.method != "GET") {
-      respond_method_not_allowed("/v1/users/{id}/verdicts");
-    } else if (id_text.empty() || ec != std::errc{} ||
-               ptr != id_text.data() + id_text.size()) {
-      status = 400;
-      body = "{\"error\":\"bad user id\"}";
-    } else {
-      std::optional<stream::UserVerdicts> verdicts;
-      if (!run_quiesced(r, [&] { verdicts = engine_->user_verdicts(id); })) {
-        status = 503;  // crashing; the connection dies with the daemon
-        body = "{\"error\":\"shutting down\"}";
-      } else if (verdicts) {
-        status = 200;
-        body = user_verdicts_json(*verdicts);
-      } else {
-        status = 404;
-        body = "{\"error\":\"unknown user\"}";
+    case Route::kVerdicts: {
+      const std::optional<trace::UserId> id = parse_user_id(m.arg);
+      if (!id) return json(400, "{\"error\":\"bad user id\"}");
+      std::optional<stream::UserVerdicts> v;
+      if (!run_quiesced(r, [&] { v = engine_->user_verdicts(*id); })) {
+        return shutting_down();
       }
+      return v ? json(200, user_verdicts_json(*v))
+               : json(404, "{\"error\":\"unknown user\"}");
     }
-  } else if (req.target.rfind("/v1/users/", 0) == 0 &&
-             req.target.size() > 10 &&
-             req.target.compare(req.target.size() - 6, 6, "/score") == 0) {
-    route = "/v1/users/{id}/score";
-    const std::string_view id_text =
-        std::string_view(req.target).substr(10, req.target.size() - 16);
-    trace::UserId id = 0;
-    const auto [ptr, ec] =
-        std::from_chars(id_text.data(), id_text.data() + id_text.size(), id);
-    if (req.method != "GET") {
-      respond_method_not_allowed("/v1/users/{id}/score");
-    } else if (!engine_->scoring_enabled()) {
-      status = 409;
-      body = "{\"error\":\"serving without a model\"}";
-    } else if (id_text.empty() || ec != std::errc{} ||
-               ptr != id_text.data() + id_text.size()) {
-      status = 400;
-      body = "{\"error\":\"bad user id\"}";
-    } else {
+    case Route::kScore: {
+      const std::optional<trace::UserId> id = parse_user_id(m.arg);
+      if (!engine_->scoring_enabled()) return no_model();
+      if (!id) return json(400, "{\"error\":\"bad user id\"}");
       std::optional<score::UserScoreSnapshot> snap;
-      if (!run_quiesced(r, [&] { snap = engine_->user_score(id); })) {
-        status = 503;  // crashing; the connection dies with the daemon
-        body = "{\"error\":\"shutting down\"}";
-      } else if (snap) {
-        status = 200;
-        body = "{\"user\":" + std::to_string(id) + ",\"score\":";
-        append_json_number(body, snap->score);
-        body += ",\"live_score\":";
-        append_json_number(body, snap->live_score);
-        body += ",\"checkins\":";
-        append_json_number(body, snap->checkins);
-        body += "}";
-      } else {
-        status = 404;
-        body = "{\"error\":\"unknown user\"}";
+      if (!run_quiesced(r, [&] { snap = engine_->user_score(*id); })) {
+        return shutting_down();
       }
+      if (!snap) return json(404, "{\"error\":\"unknown user\"}");
+      std::string body = "{\"user\":" + std::to_string(*id) + ",\"score\":";
+      append_number(body, snap->score);
+      body += ",\"live_score\":";
+      append_number(body, snap->live_score);
+      body += ",\"checkins\":";
+      append_number(body, snap->checkins);
+      return json(200, body + "}");
     }
-  } else if (req.target == "/v1/suspects" ||
-             req.target.rfind("/v1/suspects?k=", 0) == 0) {
-    route = "/v1/suspects";
-    std::size_t k = 10;
-    bool k_ok = true;
-    if (req.target != "/v1/suspects") {
-      const std::string_view k_text =
-          std::string_view(req.target).substr(15);
-      const auto [ptr, ec] =
-          std::from_chars(k_text.data(), k_text.data() + k_text.size(), k);
-      k_ok = !k_text.empty() && ec == std::errc{} &&
-             ptr == k_text.data() + k_text.size();
-    }
-    if (req.method != "GET") {
-      respond_method_not_allowed("/v1/suspects");
-    } else if (!engine_->scoring_enabled()) {
-      status = 409;
-      body = "{\"error\":\"serving without a model\"}";
-    } else if (!k_ok) {
-      status = 400;
-      body = "{\"error\":\"bad k\"}";
-    } else {
+    case Route::kSuspects: {
+      const std::optional<std::size_t> k = parse_suspects_k(req.target);
+      if (!engine_->scoring_enabled()) return no_model();
+      if (!k) return json(400, "{\"error\":\"bad k\"}");
       std::vector<score::SuspectEntry> suspects;
-      if (!run_quiesced(r, [&] { suspects = engine_->top_suspects(k); })) {
-        status = 503;  // crashing; the connection dies with the daemon
-        body = "{\"error\":\"shutting down\"}";
-      } else {
-        status = 200;
-        body = "{\"k\":" + std::to_string(k) + ",\"suspects\":[";
-        bool first = true;
-        for (const score::SuspectEntry& s : suspects) {
-          if (!first) body += ",";
-          first = false;
-          body += "{\"user\":" + std::to_string(s.user) + ",\"score\":";
-          append_json_number(body, s.score);
-          body += ",\"checkins\":";
-          append_json_number(body, s.checkins);
-          body += "}";
-        }
-        body += "]}";
+      if (!run_quiesced(r, [&] { suspects = engine_->top_suspects(*k); })) {
+        return shutting_down();
       }
+      std::string body = "{\"k\":" + std::to_string(*k) + ",\"suspects\":[";
+      for (const score::SuspectEntry& s : suspects) {
+        if (&s != suspects.data()) body += ",";
+        body += "{\"user\":" + std::to_string(s.user) + ",\"score\":";
+        append_number(body, s.score);
+        body += ",\"checkins\":";
+        append_number(body, s.checkins);
+        body += "}";
+      }
+      return json(200, body + "]}");
     }
-  } else if (req.target == "/admin/checkpoint") {
-    route = "/admin/checkpoint";
-    if (req.method != "POST") {
-      respond_method_not_allowed("/admin/checkpoint");
-    } else if (config_.checkpoint_dir.empty()) {
-      status = 409;
-      body = "{\"error\":\"serving without a checkpoint directory\"}";
-    } else {
+    case Route::kCheckpoint: {
+      if (config_.checkpoint_dir.empty()) {
+        return json(409,
+                    "{\"error\":\"serving without a checkpoint directory\"}");
+      }
       std::filesystem::path path;
-      if (run_quiesced(r, [&] { path = write_checkpoint_now(); })) {
-        records_since_checkpoint_.store(0, std::memory_order_relaxed);
-        status = 200;
-        body = "{\"cursor\":" +
-               std::to_string(cursor_.load(std::memory_order_relaxed)) +
-               ",\"path\":\"" + path.string() + "\"}";
-      } else {
-        status = 503;  // crashing; the connection dies with the daemon
-        body = "{\"error\":\"shutting down\"}";
+      if (!run_quiesced(r, [&] { path = write_checkpoint_now(); })) {
+        return shutting_down();
       }
+      records_since_checkpoint_.store(0, std::memory_order_relaxed);
+      const std::uint64_t cursor = cursor_.load(std::memory_order_relaxed);
+      return json(200, "{\"cursor\":" + std::to_string(cursor) +
+                           ",\"path\":\"" + path.string() + "\"}");
     }
-  } else if (req.target == "/admin/drain") {
-    route = "/admin/drain";
-    if (req.method != "POST") {
-      respond_method_not_allowed("/admin/drain");
-    } else if (drain_done_.load(std::memory_order_relaxed)) {
-      // A drain already completed; answer straight away (the loop is
-      // about to exit).
-      status = 200;
-      body = "{\"status\":\"drained\",\"cursor\":" +
-             std::to_string(cursor_.load(std::memory_order_relaxed)) + "}";
-    } else {
+    case Route::kDrain: {
+      if (drain_done_.load(std::memory_order_relaxed)) {
+        // A drain already completed; answer straight away (the loop is
+        // about to exit).
+        return json(200, drained_json(cursor_.load(std::memory_order_relaxed)));
+      }
       // Deferred response: every reactor stops accepting ingest, finishes
       // reading its connected streams to EOF, then reactor 0 quiesces all
       // reactors, drains the engine, writes a final checkpoint and only
       // then answers — so a 200 here means "all records you sent are in
       // the verdicts". The loop exits once the answer is flushed.
       drain_requested_.store(true, std::memory_order_relaxed);
-      c.awaiting_drain = true;
-      if (metrics_) metrics_->http_requests(route, 200).inc();
-      return;
+      HttpReply reply(m.route, 200, {});
+      reply.deferred = true;
+      return reply;
     }
+    case Route::kBackends:
+    case Route::kOther:
+      break;
   }
-
-  if (metrics_) metrics_->http_requests(route, status).inc();
-  c.wbuf += http_response(status, content_type, body, extra_headers);
-  c.close_after_write = true;
-  flush_write(c);
-}
-
-void Server::flush_write(Conn& c) {
-  while (c.woff < c.wbuf.size()) {
-    const ssize_t n = ::send(c.fd.get(), c.wbuf.data() + c.woff,
-                             c.wbuf.size() - c.woff, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      c.dead = true;  // EPIPE / reset: the client is gone
-      return;
-    }
-    c.woff += static_cast<std::size_t>(n);
-    if (metrics_) {
-      (c.is_http ? metrics_->bytes_written_http
-                 : metrics_->bytes_written_ingest)
-          ->inc(static_cast<std::uint64_t>(n));
-    }
-  }
-  c.wbuf.clear();
-  c.woff = 0;
-  if (c.close_after_write) c.dead = true;
-}
-
-void Server::sweep_idle(Reactor& r, Clock::time_point now) {
-  if (config_.idle_timeout_s <= 0) return;
-  const auto timeout = std::chrono::duration_cast<Clock::duration>(
-      std::chrono::duration<double>(config_.idle_timeout_s));
-  for (auto& conn : r.conns) {
-    if (conn->dead) continue;
-    if (now - conn->last_activity > timeout) {
-      if (!conn->is_http) {
-        // Whatever half-line (or half-frame) the idle client left behind
-        // is dead-lettered, exactly as if it had disconnected mid-record.
-        if (conn->mode == Conn::WireMode::kBinary) {
-          if (const auto error = conn->frame_decoder.finish()) {
-            process_frame_error(*error);
-          }
-        } else if (const auto fragment = conn->decoder.finish()) {
-          process_ingest_line(r, fragment->text, true);
-        }
-      }
-      conn->dead = true;
-      if (metrics_) metrics_->idle_timeouts->inc();
-    }
-  }
+  return {};
 }
 
 void Server::park_if_paused(Reactor& r) {
@@ -998,33 +629,33 @@ std::string Server::summary_json() {
   }
 
   std::string out = "{\"users\":";
-  append_json_number(out, static_cast<std::uint64_t>(users.size()));
+  append_number(out, static_cast<std::uint64_t>(users.size()));
   out += ",\"events_processed\":";
-  append_json_number(out,
+  append_number(out,
                      static_cast<std::uint64_t>(engine_->events_processed()));
   out += ",\"records_parsed\":";
-  append_json_number(out,
+  append_number(out,
                      records_parsed_.load(std::memory_order_relaxed));
   out += ",\"cursor\":";
-  append_json_number(out, cursor_.load(std::memory_order_relaxed));
+  append_number(out, cursor_.load(std::memory_order_relaxed));
   out += ",\"partition\":";
   append_partition_json(out, totals);
   out += ",\"prevalence\":{\"users_with_checkins\":";
-  append_json_number(out, users_with_checkins);
+  append_number(out, users_with_checkins);
   out += ",\"mean_extraneous_ratio\":";
-  append_json_number(out, users_with_checkins == 0
+  append_number(out, users_with_checkins == 0
                               ? 0.0
                               : ratio_sum / static_cast<double>(
                                                 users_with_checkins));
   out += "},\"burstiness\":{\"users_with_gaps\":";
-  append_json_number(out, users_with_gaps);
+  append_number(out, users_with_gaps);
   out += ",\"mean\":";
-  append_json_number(
+  append_number(
       out, users_with_gaps == 0
                ? 0.0
                : burstiness_sum / static_cast<double>(users_with_gaps));
   out += "},\"quarantined\":";
-  append_json_number(out, quarantine_->total());
+  append_number(out, quarantine_->total());
   out += "}";
   return out;
 }
@@ -1033,7 +664,7 @@ void Server::reactor_loop(Reactor& r, const std::atomic<bool>* stop,
                           bool* stopped_out) {
   const bool leader = (r.index == 0);
   std::vector<pollfd> pollfds;
-  std::vector<std::size_t> conn_of_pollfd;  // parallel; SIZE_MAX = listener
+  std::vector<std::size_t> tags;  // parallel to pollfds (ConnCore tags)
 
   while (true) {
     if (stop_all_.load(std::memory_order_relaxed)) break;
@@ -1043,57 +674,38 @@ void Server::reactor_loop(Reactor& r, const std::atomic<bool>* stop,
         if (stopped_out != nullptr) *stopped_out = true;
         break;
       }
-      if (drain_done_.load(std::memory_order_relaxed)) {
-        // Leave once every drain caller has its answer (or is gone).
-        bool waiting = false;
-        for (const auto& c : r.conns) {
-          if (!c->dead && (c->awaiting_drain || !c->wbuf.empty())) {
-            waiting = true;
-            break;
-          }
-        }
-        if (!waiting) break;
+      // After a drain, leave once every caller has its answer (or is gone).
+      if (drain_done_.load(std::memory_order_relaxed) &&
+          !r.core.answering()) {
+        break;
       }
     } else {
       // Non-zero reactors have no HTTP conns; once the drain completed
       // their remaining work is zero (all ingest conns hit EOF before the
       // drain could finish).
-      if (drain_done_.load(std::memory_order_relaxed) && r.conns.empty()) {
+      if (drain_done_.load(std::memory_order_relaxed) && r.core.empty()) {
         break;
       }
       park_if_paused(r);
     }
 
     pollfds.clear();
-    conn_of_pollfd.clear();
-    const bool at_cap =
-        total_conns_.load(std::memory_order_relaxed) >=
-        config_.max_connections;
+    tags.clear();
     if (leader) {
+      const bool at_cap = hub_.at_cap();
       if (at_cap && !was_at_cap_ && metrics_) {
         metrics_->accept_backpressure->inc();
       }
       was_at_cap_ = at_cap;
     }
-    if (!at_cap && !drain_requested_.load(std::memory_order_relaxed)) {
-      // Shared accept: every reactor polls the one ingest listener.
-      pollfds.push_back({ingest_listener_.get(), POLLIN, 0});
-      conn_of_pollfd.push_back(SIZE_MAX);
-    }
-    if (leader && !at_cap) {
-      // Control plane pinned to reactor 0. Only the ingest listener
-      // leaves the poll sets on drain: the control plane stays reachable
-      // so probes see /readyz flip to 503 and a fronting router can keep
-      // fanning out admin calls.
-      pollfds.push_back({http_listener_.get(), POLLIN, 0});
-      conn_of_pollfd.push_back(SIZE_MAX - 1);
-    }
-    for (std::size_t i = 0; i < r.conns.size(); ++i) {
-      short events = POLLIN;
-      if (r.conns[i]->woff < r.conns[i]->wbuf.size()) events |= POLLOUT;
-      pollfds.push_back({r.conns[i]->fd.get(), events, 0});
-      conn_of_pollfd.push_back(i);
-    }
+    // Shared accept: every reactor polls the one ingest listener. The
+    // control plane is pinned to reactor 0, and only the ingest listener
+    // leaves the poll sets on drain: the control plane stays reachable so
+    // probes see /readyz flip to 503 and a fronting router can keep
+    // fanning out admin calls.
+    r.core.add_to_poll(pollfds, tags,
+                       !drain_requested_.load(std::memory_order_relaxed),
+                       leader, /*read_ingest=*/true);
 
     const int ready = ::poll(pollfds.empty() ? nullptr : pollfds.data(),
                              static_cast<nfds_t>(pollfds.size()),
@@ -1102,52 +714,10 @@ void Server::reactor_loop(Reactor& r, const std::atomic<bool>* stop,
       throw NetError(std::string("poll: ") + std::strerror(errno));
     }
     const Clock::time_point iteration_start = Clock::now();
-
     for (std::size_t i = 0; i < pollfds.size(); ++i) {
-      if (pollfds[i].revents == 0) continue;
-      if (conn_of_pollfd[i] == SIZE_MAX) {
-        accept_ready(r, ingest_listener_, /*is_http=*/false);
-        continue;
-      }
-      if (conn_of_pollfd[i] == SIZE_MAX - 1) {
-        accept_ready(r, http_listener_, /*is_http=*/true);
-        continue;
-      }
-      Conn& c = *r.conns[conn_of_pollfd[i]];
-      if (c.dead) continue;
-      if ((pollfds[i].revents & (POLLERR | POLLNVAL)) != 0) {
-        c.dead = true;
-        continue;
-      }
-      if ((pollfds[i].revents & POLLOUT) != 0) flush_write(c);
-      if (!c.dead && (pollfds[i].revents & (POLLIN | POLLHUP)) != 0) {
-        handle_read(r, c);
-      }
+      if (pollfds[i].revents != 0) r.core.service(tags[i], pollfds[i].revents);
     }
-
-    sweep_idle(r, Clock::now());
-
-    // Reap dead connections (after the revents pass: indices stay stable
-    // while handlers run); release their cap slots.
-    for (const auto& c : r.conns) {
-      if (!c->dead) continue;
-      total_conns_.fetch_sub(1, std::memory_order_relaxed);
-      if (c->is_http) {
-        --active_http_;  // leader-only field, and HTTP lives on the leader
-      } else {
-        active_ingest_.fetch_sub(1, std::memory_order_relaxed);
-      }
-    }
-    r.conns.erase(std::remove_if(r.conns.begin(), r.conns.end(),
-                                 [](const std::unique_ptr<Conn>& c) {
-                                   return c->dead;
-                                 }),
-                  r.conns.end());
-    if (leader && metrics_) {
-      metrics_->active_http->set(static_cast<std::int64_t>(active_http_));
-      metrics_->active_ingest->set(static_cast<std::int64_t>(
-          active_ingest_.load(std::memory_order_relaxed)));
-    }
+    r.core.sweep_and_reap(iteration_start);
 
     // Drain completion (leader only): every ingest stream everywhere has
     // been read to EOF and reaped (clients either closed or were
@@ -1156,7 +726,7 @@ void Server::reactor_loop(Reactor& r, const std::atomic<bool>* stop,
     // the waiting caller(s).
     if (leader && drain_requested_.load(std::memory_order_relaxed) &&
         !drain_done_.load(std::memory_order_relaxed) &&
-        active_ingest_.load(std::memory_order_relaxed) == 0) {
+        hub_.open_ingest.load(std::memory_order_relaxed) == 0) {
       // Checkpoint first (resumable, pre-finalization state), then
       // finish(): finalization resolves the matcher's pending tail exactly
       // like end-of-stream in the batch pipeline, so the partition and the
@@ -1171,16 +741,9 @@ void Server::reactor_loop(Reactor& r, const std::atomic<bool>* stop,
       });
       if (finalized) {
         drain_done_.store(true, std::memory_order_release);
-        const std::string body =
-            "{\"status\":\"drained\",\"cursor\":" +
-            std::to_string(cursor_.load(std::memory_order_relaxed)) + "}";
-        for (const auto& conn : r.conns) {
-          if (conn->dead || !conn->awaiting_drain) continue;
-          conn->awaiting_drain = false;
-          conn->wbuf += http_response(200, "application/json", body);
-          conn->close_after_write = true;
-          flush_write(*conn);
-        }
+        r.core.answer_deferred(
+            {Route::kDrain, 200,
+             drained_json(cursor_.load(std::memory_order_relaxed))});
       }  // else: the crash hook fired mid-drain; the loop top exits next.
     }
 
@@ -1266,12 +829,13 @@ ServeStats Server::run(const std::atomic<bool>* stop) {
   // must come from the last periodic checkpoint, as after a real SIGKILL);
   // the graceful paths quiesce and persist. All reactor threads are
   // joined, so the engine is single-producer again from here on.
-  ingest_listener_.reset();
-  http_listener_.reset();
-  for (auto& reactor : reactors_) reactor->conns.clear();
-  total_conns_.store(0, std::memory_order_relaxed);
-  active_ingest_.store(0, std::memory_order_relaxed);
-  active_http_ = 0;
+  hub_.ingest_listener.reset();
+  hub_.http_listener.reset();
+  for (auto& reactor : reactors_) {
+    reactor->core.clear();
+    stats_.http_requests += reactor->core.requests();
+    stats_.connections += reactor->core.accepted();
+  }
   if (crash_pending_.load(std::memory_order_relaxed)) {
     engine_->shutdown();
     stats_.exit = ServeExit::kCrashed;
@@ -1289,8 +853,6 @@ ServeStats Server::run(const std::atomic<bool>* stop) {
       records_replayed_.load(std::memory_order_relaxed);
   stats_.records_malformed =
       records_malformed_.load(std::memory_order_relaxed);
-  stats_.http_requests = http_requests_.load(std::memory_order_relaxed);
-  stats_.connections = connections_.load(std::memory_order_relaxed);
   stats_.cursor = cursor_.load(std::memory_order_relaxed);
   stats_.restored_cursor = restored_cursor_;
 

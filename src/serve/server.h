@@ -4,9 +4,10 @@
 // Reactor model (ServeConfig::reactors, default 1):
 //   - Every reactor polls the one shared non-blocking ingest listener
 //     (shared accept: the kernel wakes whoever it likes, losers see
-//     EAGAIN) and owns the connections it wins outright — poll set, line
-//     decoding, write buffers, idle sweep. A global atomic connection
-//     count enforces --max-connections without overshoot.
+//     EAGAIN) and owns the connections it wins outright. Each reactor is
+//     one serve::ConnCore (serve/conn.h) — accept under the global
+//     --max-connections cap, decoding, write buffers, idle sweep — with
+//     the reactor as its sink.
 //   - Each reactor feeds the engine through its own
 //     stream::StreamEngine::Producer handle: private per-shard staging,
 //     handoff under the owning shard's mailbox mutex only. There is no
@@ -35,10 +36,11 @@
 // kernel backlog, then the clients, absorb the wait).
 //
 // Resume contract: a checkpoint stores, besides the engine payload, the
-// per-user count of records the server had accepted. After a restart with
-// `resume`, clients re-send their traces from the beginning and the server
-// silently skips each user's already-covered prefix — at-least-once
-// delivery in, exactly-once application out, so a kill + restart serves
+// per-user count of records the server had accepted (the CoverageLedger
+// snapshot, serve/coverage.h). After a restart with `resume`, clients
+// re-send their traces from the beginning and the server silently skips
+// each user's already-covered prefix — at-least-once delivery in,
+// exactly-once application out, so a kill + restart serves
 // verdicts byte-identical to an uninterrupted run. Drain quiesces every
 // reactor before the engine checkpoint, and the exit contract (stop flag →
 // checkpoint → ServeExit::kStopped) is reactor-count independent.
@@ -55,30 +57,18 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "score/model.h"
-#include "serve/net.h"
+#include "serve/conn.h"
+#include "serve/coverage.h"
 #include "serve/wire.h"
 #include "stream/engine.h"
 #include "stream/quarantine.h"
 
-namespace geovalid::obs {
-class Counter;
-class Gauge;
-}  // namespace geovalid::obs
-
 namespace geovalid::serve {
 
-struct ServeConfig {
-  std::string host = "127.0.0.1";
-  std::uint16_t ingest_port = 0;  ///< 0 = ephemeral (read back after start)
-  std::uint16_t http_port = 0;    ///< 0 = ephemeral
-  std::size_t max_connections = 1024;  ///< combined cap across both ports
-  double idle_timeout_s = 60.0;        ///< <= 0 disables the idle sweep
-  std::size_t max_line_bytes = kMaxLineBytes;
-
+struct ServeConfig : ConnConfig {
   /// Event-loop threads (see the reactor model above). 0 = all hardware
   /// threads; clamped at core::kMaxThreads (and rejected with a usage
   /// error at the CLI, mirroring --threads).
@@ -145,8 +135,8 @@ class Server {
   /// bound ports are safe to read from the spawning thread.
   void start();
 
-  [[nodiscard]] std::uint16_t ingest_port() const { return ingest_port_; }
-  [[nodiscard]] std::uint16_t http_port() const { return http_port_; }
+  [[nodiscard]] std::uint16_t ingest_port() const { return hub_.ingest_port; }
+  [[nodiscard]] std::uint16_t http_port() const { return hub_.http_port; }
   [[nodiscard]] std::uint64_t restored_cursor() const {
     return restored_cursor_;
   }
@@ -176,15 +166,14 @@ class Server {
   }
 
  private:
-  struct Conn;
   struct Reactor;
   struct Metrics;
 
-  /// Striped per-user accepted-record counts: reactors touch one stripe
-  /// mutex per record, checkpoints snapshot all stripes.
+  /// Striped per-user coverage: reactors take one stripe mutex per record,
+  /// checkpoints collect every stripe.
   struct CoverageStripe {
     std::mutex mu;
-    std::unordered_map<trace::UserId, std::uint64_t> counts;
+    CoverageLedger ledger;
   };
   static constexpr std::size_t kCoverageStripes = 64;
 
@@ -195,9 +184,6 @@ class Server {
   std::filesystem::path write_checkpoint_now();
   void reactor_loop(Reactor& r, const std::atomic<bool>* stop,
                     bool* stopped_out);
-  void accept_ready(Reactor& r, Fd& listener, bool is_http);
-  void handle_read(Reactor& r, Conn& c);
-  void handle_ingest_eof(Reactor& r, Conn& c);
   void process_ingest_line(Reactor& r, std::string_view text, bool truncated);
   /// One decoded binary frame: per-record coverage/replay accounting, then
   /// the surviving events reach the engine via one Producer::stage_batch.
@@ -205,9 +191,9 @@ class Server {
   /// One rejected binary frame: counted under the typed reason and
   /// dead-lettered (hex-prefix detail) as `malformed_frame`.
   void process_frame_error(const FrameError& error);
-  void route_request(Reactor& r, Conn& c);
-  void flush_write(Conn& c);
-  void sweep_idle(Reactor& r, std::chrono::steady_clock::time_point now);
+  void count_malformed();
+  void count_applied(std::uint64_t applied);
+  HttpReply route_request(Reactor& r, const HttpRequest& req);
   /// Non-zero reactors call this at their loop top: when the pause gate is
   /// raised, flush the producer, report parked and wait for release.
   void park_if_paused(Reactor& r);
@@ -220,10 +206,11 @@ class Server {
   /// with the coverage table and must not be persisted or served.
   bool run_quiesced(Reactor& r0, const std::function<void()>& op);
   void release_gate();
-  [[nodiscard]] std::uint64_t arrive(trace::UserId user);
+  /// One arrival, through the user's coverage stripe: true when the
+  /// record is checkpoint-covered (skip it).
+  [[nodiscard]] bool arrive_covered(trace::UserId user);
   void update_lag_gauge();
   [[nodiscard]] std::string summary_json();
-  [[nodiscard]] std::uint64_t resumed_count(trace::UserId user) const;
 
   ServeConfig config_;
   /// Loaded before the engine is built (the engine config points at it);
@@ -232,28 +219,17 @@ class Server {
   std::optional<stream::Quarantine> quarantine_;
   std::optional<stream::StreamEngine> engine_;
 
-  Fd ingest_listener_;
-  Fd http_listener_;
-  std::uint16_t ingest_port_ = 0;
-  std::uint16_t http_port_ = 0;
+  /// Listeners, cap and open counts every reactor's ConnCore shares.
+  ConnHub hub_;
   bool started_ = false;
 
   std::vector<std::unique_ptr<Reactor>> reactors_;
   std::string instance_id_;
+  bool was_at_cap_ = false;  ///< reactor 0 only (backpressure episodes)
 
-  /// Open connections across all reactors; the slot under
-  /// max_connections is reserved (CAS) before accept4 so racing reactors
-  /// never overshoot the cap.
-  std::atomic<std::size_t> total_conns_{0};
-  std::atomic<std::size_t> active_ingest_{0};
-  std::size_t active_http_ = 0;  ///< reactor 0 only (HTTP is pinned there)
-  bool was_at_cap_ = false;      ///< reactor 0 only (backpressure episodes)
-
-  /// Per-user records accepted (lifetime, incl. restored coverage) and the
-  /// coverage restored from the checkpoint being resumed. `resumed_` is
-  /// written in start() and read-only while the reactors run.
-  std::array<CoverageStripe, kCoverageStripes> arrived_;
-  std::unordered_map<trace::UserId, std::uint64_t> resumed_;
+  /// Per-user coverage: arrivals this lifetime and, as each user's prefix,
+  /// the coverage restored from the checkpoint being resumed.
+  std::array<CoverageStripe, kCoverageStripes> coverage_;
   std::atomic<std::uint64_t> cursor_{0};
   std::uint64_t restored_cursor_ = 0;
   std::atomic<std::uint64_t> records_since_checkpoint_{0};
@@ -282,8 +258,6 @@ class Server {
   std::atomic<std::uint64_t> records_applied_{0};
   std::atomic<std::uint64_t> records_replayed_{0};
   std::atomic<std::uint64_t> records_malformed_{0};
-  std::atomic<std::uint64_t> http_requests_{0};
-  std::atomic<std::uint64_t> connections_{0};
 
   ServeStats stats_;
   std::unique_ptr<Metrics> metrics_;

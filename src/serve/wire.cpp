@@ -53,19 +53,6 @@ bool parse_double(std::string_view s, double& out) {
 
 WireError err(const char* what) { return WireError{what}; }
 
-void append_num(std::string& out, double v) {
-  char buf[40];
-  const auto [p, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  out.append(buf, static_cast<std::size_t>(p - buf));
-}
-
-template <typename T>
-void append_num(std::string& out, T v) {
-  char buf[24];
-  const auto [p, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  out.append(buf, static_cast<std::size_t>(p - buf));
-}
-
 }  // namespace
 
 WireResult parse_wire_record(std::string_view line) {
@@ -109,32 +96,32 @@ WireResult parse_wire_record(std::string_view line) {
 void append_wire_record(std::string& out, const stream::Event& e) {
   if (e.kind == stream::Event::Kind::kGps) {
     out += "gps,";
-    append_num(out, e.user);
+    append_number(out, e.user);
     out += ',';
-    append_num(out, e.gps.t);
+    append_number(out, e.gps.t);
     out += ',';
-    append_num(out, e.gps.position.lat_deg);
+    append_number(out, e.gps.position.lat_deg);
     out += ',';
-    append_num(out, e.gps.position.lon_deg);
+    append_number(out, e.gps.position.lon_deg);
     out += ',';
     out += e.gps.has_fix ? '1' : '0';
     out += ',';
-    append_num(out, e.gps.wifi_fingerprint);
+    append_number(out, e.gps.wifi_fingerprint);
     out += ',';
-    append_num(out, e.gps.accel_variance);
+    append_number(out, e.gps.accel_variance);
   } else {
     out += "checkin,";
-    append_num(out, e.user);
+    append_number(out, e.user);
     out += ',';
-    append_num(out, e.checkin.t);
+    append_number(out, e.checkin.t);
     out += ',';
-    append_num(out, e.checkin.poi);
+    append_number(out, e.checkin.poi);
     out += ',';
     out += trace::to_string(e.checkin.category);
     out += ',';
-    append_num(out, e.checkin.location.lat_deg);
+    append_number(out, e.checkin.location.lat_deg);
     out += ',';
-    append_num(out, e.checkin.location.lon_deg);
+    append_number(out, e.checkin.location.lon_deg);
   }
   out += '\n';
 }

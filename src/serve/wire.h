@@ -34,6 +34,7 @@
 #pragma once
 
 #include <array>
+#include <charconv>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -59,6 +60,15 @@ struct WireError {
 using WireResult = std::variant<stream::Event, WireError>;
 
 [[nodiscard]] WireResult parse_wire_record(std::string_view line);
+
+/// Appends `v` in std::to_chars form (shortest round-trip for doubles):
+/// the one number formatter of the wire grammar and the JSON bodies.
+template <typename T>
+void append_number(std::string& out, T v) {
+  char buf[32];
+  const auto [p, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+  out.append(buf, static_cast<std::size_t>(p - buf));
+}
 
 /// Renders an event in the wire grammar, newline included. Doubles use
 /// shortest-roundtrip formatting, so parse(format(e)) is bit-exact — the
