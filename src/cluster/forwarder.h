@@ -1,36 +1,33 @@
 // Per-backend forwarding connection for the cluster router.
 //
 // One Forwarder owns the persistent TCP ingest connection to one
-// `geovalid serve` backend. Routed wire records append to an in-memory
-// buffer and drip out non-blocking under the router's poll loop — the
-// same wbuf discipline serve uses for HTTP responses, pointed the other
-// way. The buffer doubles as the backpressure signal: when any backend's
-// buffer crosses the router's high-water mark, the router stops reading
-// from ingest clients until the slow backend catches up, so a stalled
-// backend translates into TCP backpressure on the producers instead of
-// unbounded router memory.
+// `geovalid serve` backend. Binary ingest rides a second, lazily-opened
+// connection: the serve daemon negotiates text vs. binary per connection
+// from the first byte, so one socket can never carry both formats.
+// Per-user ordering is safe across the pair because a client connection
+// speaks one format for its lifetime, so any given user's records travel
+// one channel per run.
 //
-// Failure no longer drops records. Each forwarder carries the router's
-// per-backend health state machine (up → suspect → down → recovering,
-// docs/ROBUSTNESS.md) and a bounded spool: while the backend is anything
-// but up, routed records queue in the spool instead of the socket buffer,
-// and a send failure *salvages* every byte from the last full-record
-// boundary back into the spool. Record boundaries are tracked per channel
-// (Pending entries), so the record the kernel accepted half of is
-// re-queued whole — the backend dead-letters the delivered fragment as
-// truncated, then applies the replayed copy exactly once. The spool's
-// byte budget feeds the router's whole-ingest backpressure: overflow
-// pauses reads, it never discards. Records are *counted* as dropped only
-// at deliberate teardown (close() with the spool non-empty), when the
-// router is exiting and re-delivery is the clients' re-send.
+// Each channel has exactly one send queue: the bytes of its unsent
+// records, with one Pending entry per record (text) or frame (binary).
+// The per-backend health state (up → suspect → down → recovering,
+// docs/ROBUSTNESS.md) alone decides what the queue does. Up or suspect,
+// it drains non-blocking under the router's poll loop — the same wbuf
+// discipline serve uses for HTTP responses, pointed the other way. Down
+// or recovering, it holds, and the held queue is the spool the router
+// reports and budgets. sever() rewinds each queue to the first byte of
+// its oldest record, so the record the kernel accepted half of is re-sent
+// whole on the next connection: the backend dead-letters the delivered
+// fragment as truncated, then applies the whole copy exactly once.
 //
-// Binary ingest rides a second, lazily-opened connection per backend: the
-// serve daemon negotiates text vs. binary per connection from the first
-// byte, so one socket can never carry both formats. Per-user ordering is
-// safe across the pair because a client connection speaks one format for
-// its lifetime, so any given user's records travel one channel per run.
-// The spool is a single FIFO holding both kinds of entry, so drain order
-// per channel equals arrival order.
+// A record leaves a queue only by being sent, by being discarded as
+// superseded (a process restart made the client re-send authoritative),
+// or by being counted dropped at close() — deliberate teardown, when the
+// router is exiting and re-delivery is the clients' re-send. The queue
+// sizes are the router's backpressure signal: past the high-water mark
+// (or the spool budget while held) the router stops reading ingest, so a
+// stalled or dead backend becomes TCP backpressure on the producers
+// instead of unbounded router memory or a drop.
 #pragma once
 
 #include <chrono>
@@ -76,83 +73,89 @@ class Forwarder {
   bool connect() noexcept;
 
   [[nodiscard]] BackendState state() const { return state_; }
-  /// True while records may be written to the sockets (up or suspect —
-  /// a suspect backend's connection still works; only the probe failed).
+  /// True while the queues drain (up or suspect — a suspect backend's
+  /// connection still works; only the probe failed).
   [[nodiscard]] bool sending() const {
     return state_ == BackendState::kUp || state_ == BackendState::kSuspect;
   }
-  [[nodiscard]] bool connected() const { return fd_.valid(); }
+  [[nodiscard]] bool connected() const { return text_.fd.valid(); }
 
   /// Router-driven transitions (probe results / recovery protocol).
   void set_state(BackendState state) { state_ = state; }
 
   [[nodiscard]] const BackendAddr& addr() const { return addr_; }
-  [[nodiscard]] int fd() const { return fd_.get(); }
-  /// The binary channel's socket; -1 until the first enqueue_frame().
-  [[nodiscard]] int binary_fd() const { return bfd_.get(); }
-  /// Pending socket-buffer bytes across both channels (the high-water
-  /// backpressure signal; the spool has its own budget).
+  [[nodiscard]] int fd() const { return text_.fd.get(); }
+  /// The binary channel's socket; -1 until frames are sent.
+  [[nodiscard]] int binary_fd() const { return binary_.fd.get(); }
+  /// Unsent bytes across both queues while they drain (the high-water
+  /// backpressure signal); 0 while they hold.
   [[nodiscard]] std::size_t buffered() const {
-    return (buf_.size() - off_) + (bbuf_.size() - boff_);
+    return sending() ? queued_bytes() : 0;
   }
   [[nodiscard]] bool wants_write() const {
-    return sending() && (buf_.size() - off_) > 0;
+    return sending() && text_.unsent() > 0;
   }
   [[nodiscard]] bool wants_binary_write() const {
-    return sending() && bfd_.valid() && (bbuf_.size() - boff_) > 0;
+    return sending() && binary_.fd.valid() && binary_.unsent() > 0;
   }
 
-  // -- Spool (records held while the backend is not up) ------------------
+  // -- Spool: the queues while they hold (down or recovering) ------------
 
-  [[nodiscard]] std::size_t spool_bytes() const { return spool_bytes_; }
-  [[nodiscard]] std::uint64_t spool_records() const { return spool_records_; }
-  /// Age of the oldest spooled entry, 0 when empty.
+  [[nodiscard]] std::size_t spool_bytes() const {
+    return sending() ? 0 : queued_bytes();
+  }
+  [[nodiscard]] std::uint64_t spool_records() const {
+    return sending() ? 0 : text_.records + binary_.records;
+  }
+  /// How long the queues have held their oldest record; 0 when they
+  /// drain or are empty.
   [[nodiscard]] double spool_age_seconds(
       std::chrono::steady_clock::time_point now) const;
 
   /// Queues one wire record (`line` without its newline; the forwarder
-  /// appends the delimiter). While the backend is not up the record goes
-  /// to the spool instead. Always succeeds — loss is not an outcome of
+  /// appends the delimiter). Always succeeds — loss is not an outcome of
   /// enqueueing.
   void enqueue(std::string_view line);
 
   /// Queues one complete binary frame (raw bytes, no delimiter) carrying
-  /// `records` records, opening the binary channel on first use. A frame
-  /// that cannot reach a socket spools; always succeeds.
+  /// `records` records, opening the binary channel while sending. A
+  /// channel that cannot open severs; always succeeds.
   void enqueue_frame(std::string_view frame, std::uint64_t records);
 
-  /// Sends as much of both buffers as the sockets accept right now. A
-  /// send failure salvages everything from the last full-record boundary
-  /// into the spool and transitions to down.
+  /// Sends as much of both queues as the sockets accept right now. A
+  /// send failure severs.
   void flush();
 
-  /// Recovery for a backend whose process survived (same instance): move
-  /// every spooled entry back onto the socket buffers, oldest first.
-  /// Returns false (and re-severs, spool intact) when the binary channel
-  /// cannot reopen.
+  /// Recovery for a backend whose process survived (same instance): the
+  /// held queues drain as they are once the state goes up. Reopens the
+  /// binary channel for held frames; returns false (and re-severs, queues
+  /// intact) when it cannot.
   bool drain_spool();
 
-  /// Recovery for a replaced/restarted process (new instance): the
-  /// spooled records are superseded by the client re-send the epoch reset
-  /// triggers. Returns how many records were discarded (they are *not*
-  /// lost — the re-send re-delivers them; exported as
-  /// cluster_spool_superseded_total).
+  /// Recovery for a replaced/restarted process (new instance), called
+  /// while the queues hold: the queued records are superseded by the
+  /// client re-send the epoch reset triggers. Returns how many records
+  /// were discarded (they are *not* lost — the re-send re-delivers them;
+  /// exported as cluster_spool_superseded_total).
   std::uint64_t discard_spool();
 
-  /// Severs the connection now: salvages both channels into the spool and
-  /// transitions to down. The router calls this on peer EOF/reset and on
-  /// flush-deadline expiry; flush() calls it on send failure.
+  /// Severs the connection now: closes both channels, rewinds each queue
+  /// to the first byte of its oldest record and transitions to down. The
+  /// router calls this on peer EOF/reset and on flush-deadline expiry;
+  /// flush() calls it on send failure.
   void sever();
 
   /// Deliberate teardown (drain EOF or router exit): closes both channels
-  /// and counts any still-buffered or spooled records as dropped — at
-  /// this point nothing will re-deliver them.
+  /// and counts any still-queued records as dropped — at this point
+  /// nothing will re-deliver them.
   void close();
 
   /// Points the forwarder at a replacement process for the same ring
-  /// name and reconnects. Buffered/spooled records for the old process
-  /// are superseded by the rebalance re-send, so they are discarded
-  /// (returned via discard_spool() semantics), not counted dropped.
+  /// name. Connects first: on failure nothing changes (address, state and
+  /// queues stay as they were) and it returns false. On success the
+  /// records queued for the old process are superseded by the rebalance
+  /// re-send, so they are discarded (discard_spool() semantics), not
+  /// counted dropped.
   bool replace(BackendAddr addr) noexcept;
 
   /// Deterministic network-fault hooks (`--inject-net-faults`): consulted
@@ -164,58 +167,57 @@ class Forwarder {
 
   void set_connect_timeout_ms(int ms) { connect_timeout_ms_ = ms; }
 
-  std::uint64_t forwarded = 0;      ///< records written toward a socket
-  std::uint64_t dropped = 0;        ///< records lost at teardown, counted
-  std::uint64_t spooled_total = 0;  ///< records that ever entered the spool
-  std::uint64_t reconnects = 0;     ///< successful connect() after a sever
+  std::uint64_t dropped = 0;     ///< records lost at teardown, counted
+  std::uint64_t reconnects = 0;  ///< successful connect() after a sever
   /// Records discarded because a process restart made the client re-send
   /// authoritative (discard_spool/replace) — re-delivered, not lost.
   std::uint64_t superseded = 0;
 
  private:
-  /// One enqueued record group with bytes still pending on a channel:
-  /// `size` total bytes, `left` unsent. Text queues one entry per record;
-  /// the binary channel one per frame. Kept until *fully* sent so a
-  /// partially-sent entry can be salvaged whole.
+  /// One queued record group: `size` bytes, `left` of them unsent. Text
+  /// queues one entry per record, the binary channel one per frame.
   struct Pending {
     std::uint32_t size = 0;
     std::uint32_t left = 0;
     std::uint32_t records = 0;
   };
 
-  /// One spooled record group, FIFO. Text entries coalesce many records;
-  /// frame entries are exactly one frame.
-  struct SpoolEntry {
-    std::string bytes;
-    std::uint64_t records = 0;
-    bool frame = false;
-    std::chrono::steady_clock::time_point queued_at;
+  /// One connection and its send queue: `buf` from `off` on is unsent;
+  /// `pending` covers every record with unsent bytes, oldest first (only
+  /// the oldest can be half-sent).
+  struct Channel {
+    serve::Fd fd;
+    std::string buf;
+    std::size_t off = 0;
+    std::deque<Pending> pending;
+    std::uint64_t records = 0;  ///< sum of pending[].records
+
+    [[nodiscard]] std::size_t unsent() const { return buf.size() - off; }
+    /// Non-blocking send; false on a fatal socket error.
+    bool send();
+    /// Restarts the queue at the first byte of its oldest record.
+    void rewind();
+    /// Empties the queue; returns the records it held.
+    std::uint64_t clear();
   };
 
-  bool flush_channel(serve::Fd& fd, std::string& buf, std::size_t& off,
-                     std::deque<Pending>& pending);
-  void salvage_channel(std::string& buf, std::size_t& off,
-                       std::deque<Pending>& pending, bool frame,
-                       std::deque<SpoolEntry>& out);
-  bool ensure_binary_channel() noexcept;
-  void spool_push(std::string bytes, std::uint64_t records, bool frame);
+  [[nodiscard]] std::size_t queued_bytes() const {
+    return text_.unsent() + binary_.unsent();
+  }
+  /// Accounts one record group about to be appended to `ch.buf`.
+  std::string& queue(Channel& ch, std::size_t size, std::uint64_t records);
+  [[nodiscard]] serve::Fd dial(const BackendAddr& addr) const noexcept;
+  bool adopt(serve::Fd fd) noexcept;
+  bool open_binary() noexcept;
   void on_injected(const stream::NetFaultInjector::Triggered& t);
 
   BackendAddr addr_;
-  serve::Fd fd_;
-  std::string buf_;
-  std::size_t off_ = 0;
-  std::deque<Pending> tpending_;  ///< unsent-byte accounting per text record
-  serve::Fd bfd_;      ///< binary channel, opened on first enqueue_frame()
-  std::string bbuf_;
-  std::size_t boff_ = 0;
-  std::deque<Pending> bpending_;  ///< unsent-byte accounting per frame
+  Channel text_;
+  Channel binary_;  ///< opened on the first frame sent
   BackendState state_ = BackendState::kDown;
   bool ever_connected_ = false;
-
-  std::deque<SpoolEntry> spool_;
-  std::size_t spool_bytes_ = 0;
-  std::uint64_t spool_records_ = 0;
+  /// When the queues last started holding a record (spool age).
+  std::chrono::steady_clock::time_point held_since_{};
 
   stream::NetFaultInjector* fault_injector_ = nullptr;
   bool inject_reset_ = false;

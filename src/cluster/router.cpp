@@ -252,16 +252,16 @@ void Router::register_metrics() {
         "2 suspect, 3 up)", label));
     m.buffered.push_back(&r.gauge(
         "cluster_backend_buffered_bytes",
-        "Bytes queued for a backend, waiting on its ingest socket", label));
+        "Unsent bytes queued for a backend while its queue drains", label));
     m.spool_bytes.push_back(&r.gauge(
         "cluster_spool_bytes",
-        "Bytes spooled for a backend that is not up", label));
+        "Bytes held for a down or recovering backend", label));
     m.spool_records.push_back(&r.gauge(
         "cluster_spool_records",
-        "Records spooled for a backend that is not up", label));
+        "Records held for a down or recovering backend", label));
     m.spool_age.push_back(&r.gauge(
         "cluster_spool_age_seconds",
-        "Age of the oldest spooled entry per backend (0 when empty)", label));
+        "Seconds a backend's queue has held records (0 when draining)", label));
     m.fwd_records.push_back(&r.counter(
         "cluster_forward_records_total",
         "Records forwarded to each backend", label));
@@ -377,8 +377,8 @@ void Router::on_line(std::string_view text, bool truncated) {
   }
   const std::size_t owner = ring_.owner_index(*user);
   Forwarder& f = *forwarders_[owner];
-  // enqueue() cannot lose the record: a not-up owner spools it (bounded
-  // by the backpressure check in run()) until recovery settles replay.
+  // enqueue() cannot lose the record: a down or recovering owner holds it
+  // (bounded by run()'s backpressure check) until recovery settles replay.
   f.enqueue(text);
   ++stats_.records_forwarded;
   if (metrics_) {
@@ -619,10 +619,9 @@ HttpReply Router::handle_checkpoint() {
         return resp.status == 200;
       },
       [&](std::size_t i) {
-        // Down, flush-expired, or records still spooled: its checkpoint
-        // could not cover the shard.
-        const Forwarder& f = *forwarders_[i];
-        return !f.sending() || f.spool_records() > 0;
+        // Holding records (down, recovering, or severed by the flush
+        // deadline): its checkpoint could not cover the shard.
+        return !forwarders_[i]->sending();
       });
   if (!failed.empty()) {
     return {Route::kCheckpoint, 502,
@@ -771,9 +770,8 @@ void Router::probe_io(std::size_t index, short revents) {
   if (h.phase == BackendHealth::ProbePhase::kConnecting) {
     // The connect settled. A fresh socket's send buffer takes the small
     // request whole, so a refused connect or a short send fails the probe.
-    const std::string request = "GET /readyz HTTP/1.1\r\nHost: " +
-                                forwarders_[index]->addr().host +
-                                "\r\nConnection: close\r\n\r\n";
+    const std::string request =
+        serve::build_request(forwarders_[index]->addr().host, "GET", "/readyz");
     int err = 0;
     socklen_t len = sizeof(err);
     if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) < 0 || err != 0 ||
@@ -857,8 +855,8 @@ void Router::on_probe_success(std::size_t index, std::string instance) {
   }
   if (f.state() != BackendState::kUp) {
     // Same instance (or first sighting): the backend's applied state
-    // includes everything we ever flushed, so the spool simply drains in
-    // arrival order behind whatever is still buffered.
+    // includes everything we ever flushed, so the held queue simply
+    // drains in arrival order.
     if (f.drain_spool()) {
       f.set_state(BackendState::kUp);
       h.reconnect_attempts = 0;
@@ -880,7 +878,7 @@ void Router::on_probe_failure(std::size_t index) {
   if (h.consecutive_failures >= config_.probe_down_after) {
     // The connection still looks live but the process has stopped
     // answering: a hung backend will never flush its queue. Sever so the
-    // records move to the spool and recovery owns them.
+    // queue holds and recovery owns it.
     f.sever();
     h.reconnect_attempts = 0;
     h.next_reconnect_at = Clock::now();
@@ -1046,10 +1044,10 @@ RouteStats Router::run(const std::atomic<bool>* stop) {
     if (drain_done_ && !core_.answering()) break;
 
     // Backpressure with hysteresis: pause client reads when any backend
-    // queue crosses the high-water mark — the socket buffer or the spool
-    // (a long outage fills the spool budget instead of router memory; the
-    // overflow is backpressure, never a drop) — resume once all are
-    // under half of each.
+    // queue crosses its mark — the high-water mark while it drains, the
+    // spool budget while it holds (a long outage fills the spool budget
+    // instead of router memory; the overflow is backpressure, never a
+    // drop) — resume once all are under half of each.
     bool over = false;
     bool under = true;
     for (const auto& f : forwarders_) {

@@ -194,7 +194,7 @@ class Router final : private serve::ConnSink {
 
   /// Drives every pending forwarder buffer to the kernel, polling up to
   /// `deadline_ms`; a backend that cannot absorb its queue in time is
-  /// severed (its remainder salvaged into the spool). Returns true when
+  /// severed (its queue rewinds and holds). Returns true when
   /// everything flushed.
   bool flush_all_blocking(int deadline_ms);
 

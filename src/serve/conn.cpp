@@ -157,9 +157,11 @@ void ConnCore::read(Conn& c) {
     const std::string_view chunk(buf, static_cast<std::size_t>(n));
     add(hub_.metrics.bytes_read[c.is_http], chunk.size());
     if (c.is_http) {
-      const auto state = c.parser.consume(chunk);
-      if (state == HttpRequestParser::State::kDone ||
-          state == HttpRequestParser::State::kError) {
+      // One request per connection: once it is dispatched, later bytes
+      // are read only so EOF is still noticed.
+      if (c.parser.finished()) continue;
+      c.parser.consume(chunk);
+      if (c.parser.finished()) {
         handle_request(c);
         c.last_activity = Clock::now();
         return;

@@ -249,6 +249,8 @@ std::string_view http_status_text(int status) {
       return "Internal Server Error";
     case 501:
       return "Not Implemented";
+    case 502:
+      return "Bad Gateway";
     case 503:
       return "Service Unavailable";
     default:

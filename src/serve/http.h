@@ -54,6 +54,10 @@ class HttpRequestParser {
   State consume(std::string_view data);
 
   [[nodiscard]] State state() const { return state_; }
+  /// The request is complete (kDone) or refused (kError).
+  [[nodiscard]] bool finished() const {
+    return state_ == State::kDone || state_ == State::kError;
+  }
   [[nodiscard]] const HttpRequest& request() const { return request_; }
   [[nodiscard]] int error_status() const { return error_status_; }
   [[nodiscard]] const std::string& error() const { return error_; }

@@ -41,42 +41,23 @@ bool equals_ignore_case(std::string_view a, std::string_view b) {
   return true;
 }
 
-std::string build_request(const std::string& host, const std::string& method,
-                          const std::string& target, const std::string& body,
-                          const std::string& content_type) {
-  std::string request = method + " " + target + " HTTP/1.1\r\nHost: " +
-                        host + "\r\nConnection: close\r\n";
-  if (!body.empty()) {
-    request += "Content-Type: " +
-               (content_type.empty() ? "application/json" : content_type) +
-               "\r\nContent-Length: " + std::to_string(body.size()) +
-               "\r\n";
-  }
-  request += "\r\n";
-  request += body;
-  return request;
-}
-
-HttpResponse http_request(const std::string& host, std::uint16_t port,
-                          const std::string& method,
-                          const std::string& target,
-                          const std::string& body = {},
-                          const std::string& content_type = {}) {
-  Fd fd = tcp_connect(host, port);
-  if (!send_all(fd.get(),
-                build_request(host, method, target, body, content_type))) {
-    throw NetError("http " + method + " " + target + ": peer closed");
-  }
-  return parse_http_response(recv_all(fd.get()),
-                             "http " + method + " " + target);
-}
-
 using Clock = std::chrono::steady_clock;
+
+/// The timeout that sets no deadline: poll() blocks.
+constexpr int kNoDeadline = -1;
+
+Clock::time_point deadline_after(int timeout_ms) {
+  return timeout_ms == kNoDeadline
+             ? Clock::time_point::max()
+             : Clock::now() + std::chrono::milliseconds(timeout_ms);
+}
 
 /// Whole milliseconds left before `deadline`; never negative, and a
 /// not-yet-expired deadline always reports at least 1 so poll() cannot
-/// round a live budget down to a busy-spin or an instant timeout.
+/// round a live budget down to a busy-spin or an instant timeout. No
+/// deadline reports -1 (poll() blocks).
 int remaining_ms(Clock::time_point deadline) {
+  if (deadline == Clock::time_point::max()) return kNoDeadline;
   const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
       deadline - Clock::now());
   if (left.count() <= 0) return 0;
@@ -104,17 +85,16 @@ bool poll_until(int fd, short events, Clock::time_point deadline) {
   }
 }
 
-HttpResponse http_request_deadline(const std::string& host,
-                                   std::uint16_t port,
-                                   const std::string& method,
-                                   const std::string& target, int timeout_ms,
-                                   const std::string& body = {},
-                                   const std::string& content_type = {}) {
+/// The one request path: connect, send and read the whole response
+/// within `timeout_ms` (kNoDeadline: as long as the peer takes).
+HttpResponse http_request(const std::string& host, std::uint16_t port,
+                          const std::string& method, const std::string& target,
+                          int timeout_ms, const std::string& body = {},
+                          const std::string& content_type = {}) {
   const std::string what =
       "http " + method + " " + target + " to " + host + ":" +
       std::to_string(port);
-  const Clock::time_point deadline =
-      Clock::now() + std::chrono::milliseconds(timeout_ms);
+  const Clock::time_point deadline = deadline_after(timeout_ms);
   Fd fd = tcp_connect_deadline(host, port, timeout_ms);
 
   const std::string request =
@@ -216,8 +196,7 @@ Fd tcp_connect_deadline(const std::string& host, std::uint16_t port,
                         int timeout_ms) {
   const std::string what = "connect " + host + ":" + std::to_string(port);
   Fd fd = tcp_connect_start(host, port);
-  const Clock::time_point deadline =
-      Clock::now() + std::chrono::milliseconds(timeout_ms);
+  const Clock::time_point deadline = deadline_after(timeout_ms);
   if (!poll_until(fd.get(), POLLOUT, deadline)) throw_deadline(what);
   int err = 0;
   socklen_t len = sizeof(err);
@@ -268,6 +247,22 @@ std::string recv_all(int fd) {
   return out;
 }
 
+std::string build_request(const std::string& host, const std::string& method,
+                          const std::string& target, const std::string& body,
+                          const std::string& content_type) {
+  std::string request = method + " " + target + " HTTP/1.1\r\nHost: " +
+                        host + "\r\nConnection: close\r\n";
+  if (!body.empty()) {
+    request += "Content-Type: " +
+               (content_type.empty() ? "application/json" : content_type) +
+               "\r\nContent-Length: " + std::to_string(body.size()) +
+               "\r\n";
+  }
+  request += "\r\n";
+  request += body;
+  return request;
+}
+
 std::string HttpResponse::header(std::string_view name) const {
   std::size_t pos = 0;
   while (pos < headers.size()) {
@@ -311,31 +306,32 @@ HttpResponse parse_http_response(const std::string& raw,
 
 HttpResponse http_get(const std::string& host, std::uint16_t port,
                       const std::string& target) {
-  return http_request(host, port, "GET", target);
+  return http_request(host, port, "GET", target, kNoDeadline);
 }
 
 HttpResponse http_post(const std::string& host, std::uint16_t port,
                        const std::string& target) {
-  return http_request(host, port, "POST", target);
+  return http_request(host, port, "POST", target, kNoDeadline);
 }
 
 HttpResponse http_post(const std::string& host, std::uint16_t port,
                        const std::string& target, const std::string& body,
                        const std::string& content_type) {
-  return http_request(host, port, "POST", target, body, content_type);
+  return http_request(host, port, "POST", target, kNoDeadline, body,
+                      content_type);
 }
 
 HttpResponse http_get_deadline(const std::string& host, std::uint16_t port,
                                const std::string& target, int timeout_ms) {
-  return http_request_deadline(host, port, "GET", target, timeout_ms);
+  return http_request(host, port, "GET", target, timeout_ms);
 }
 
 HttpResponse http_post_deadline(const std::string& host, std::uint16_t port,
                                 const std::string& target, int timeout_ms,
                                 const std::string& body,
                                 const std::string& content_type) {
-  return http_request_deadline(host, port, "POST", target, timeout_ms, body,
-                               content_type);
+  return http_request(host, port, "POST", target, timeout_ms, body,
+                      content_type);
 }
 
 }  // namespace geovalid::serve

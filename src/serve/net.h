@@ -74,9 +74,10 @@ class Fd {
                                    std::uint16_t port);
 
 /// Connect with a deadline: non-blocking connect + poll, so a blackholed
-/// or unroutable peer fails in `timeout_ms` instead of the kernel's
-/// minutes-long default. The returned fd is left non-blocking. Throws
-/// NetError; the timeout message contains "deadline".
+/// or unroutable peer fails in `timeout_ms` (-1: no deadline) instead of
+/// the kernel's minutes-long default. The returned fd is left
+/// non-blocking. Throws NetError; the timeout message contains
+/// "deadline".
 [[nodiscard]] Fd tcp_connect_deadline(const std::string& host,
                                       std::uint16_t port, int timeout_ms);
 
@@ -90,8 +91,17 @@ bool send_all(int fd, std::string_view data);
 /// Reads until EOF (blocking). Throws NetError on socket errors.
 [[nodiscard]] std::string recv_all(int fd);
 
-/// Minimal blocking HTTP/1.1 client for tests, loadgen probes and the CI
-/// smoke script: one request, `Connection: close`, whole response back.
+/// One HTTP/1.1 request with `Connection: close`; a non-empty body is
+/// framed by Content-Length with `content_type` (JSON when empty).
+[[nodiscard]] std::string build_request(const std::string& host,
+                                        const std::string& method,
+                                        const std::string& target,
+                                        const std::string& body = {},
+                                        const std::string& content_type = {});
+
+/// Minimal HTTP/1.1 client for tests, loadgen probes, the CI smoke script
+/// and the router's control plane: one request, `Connection: close`,
+/// whole response back.
 struct HttpResponse {
   int status = 0;
   std::string headers;  ///< raw header block (CRLF-separated lines)
@@ -107,6 +117,7 @@ struct HttpResponse {
 [[nodiscard]] HttpResponse parse_http_response(const std::string& raw,
                                                const std::string& what);
 
+/// Blocking requests: the deadline-bounded path below with no deadline.
 [[nodiscard]] HttpResponse http_get(const std::string& host,
                                     std::uint16_t port,
                                     const std::string& target);

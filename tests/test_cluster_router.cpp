@@ -240,6 +240,49 @@ TEST(ClusterRouter, ControlPlaneStatusesAndReadyz) {
             400);
 }
 
+TEST(ClusterRouter, RefusedRebalanceLeavesTheBackendAsItWas) {
+  // A replacement the router cannot reach is answered 502 and changes
+  // nothing: b0 keeps its address, receives its records and its drain.
+  TestCluster tc(2);
+  std::uint16_t closed = 0;
+  {
+    const Fd gone = serve::tcp_listen("127.0.0.1", 0);
+    closed = serve::local_port(gone.get());
+  }  // nothing listens there now
+  const std::string port = std::to_string(closed);
+  EXPECT_EQ(http_post("127.0.0.1", tc.http_port(), "/admin/backends/b0",
+                      "{\"ingest_port\":" + port + ",\"http_port\":" + port +
+                          "}")
+                .status,
+            502);
+
+  // Five records: three owned by b0, two by b1.
+  const HashRing& ring = tc.router->ring();
+  std::string payload;
+  const std::size_t want[2] = {3, 2};
+  std::size_t owned[2] = {0, 0};
+  for (trace::UserId u = 0; owned[0] < want[0] || owned[1] < want[1]; ++u) {
+    const std::size_t owner = ring.owner_index(u);
+    if (owned[owner] == want[owner]) continue;
+    ++owned[owner];
+    payload += "checkin," + std::to_string(u) + ",1000,1,Food,37.0,-122.0\n";
+  }
+  {
+    Fd c = tcp_connect("127.0.0.1", tc.ingest_port());
+    ASSERT_TRUE(send_all(c.get(), payload));
+  }
+  const HttpResponse drained =
+      http_post("127.0.0.1", tc.http_port(), "/admin/drain");
+  tc.loop.join();
+  // Checked before joining the backends: a backend that never got its
+  // drain never exits (the TestBackend destructor stops it instead).
+  ASSERT_EQ(drained.status, 200) << drained.body;
+  for (auto& b : tc.backends) b->join();
+  EXPECT_EQ(tc.stats.records_dropped, 0u);
+  EXPECT_EQ(tc.backends[0]->stats.records_applied, 3u);
+  EXPECT_EQ(tc.backends[1]->stats.records_applied, 2u);
+}
+
 TEST(ClusterRouter, ProxiesVerdictsToTheRingOwner) {
   TestCluster tc(2);
   {

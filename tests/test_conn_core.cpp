@@ -123,6 +123,10 @@ class FrontEnd {
     return daemon_ ? daemon_->stats.records_applied
                    : route_stats_.records_forwarded;
   }
+  [[nodiscard]] std::uint64_t http_requests() const {
+    return daemon_ ? daemon_->stats.http_requests
+                   : route_stats_.http_requests;
+  }
   [[nodiscard]] std::uint64_t records_malformed() const {
     return daemon_ ? daemon_->stats.records_malformed
                    : route_stats_.records_malformed;
@@ -280,6 +284,27 @@ TEST_P(ConnCore, DrainCallerIsNeverSweptAsIdle) {
   fe.join();
   EXPECT_EQ(drained.status, 200) << drained.body;
   EXPECT_EQ(fe.records_in(), 10u);
+}
+
+TEST_P(ConnCore, BytesAfterARequestAreNeverDispatched) {
+  // The drain is deferred while an ingest stream is open, so the bytes
+  // its caller sends after the request arrive while it waits: the route
+  // must still run once.
+  FrontEnd fe(GetParam(), {});
+  Fd ingest = serve::tcp_connect("127.0.0.1", fe.ingest_port());
+  const Fd http = serve::tcp_connect("127.0.0.1", fe.http_port());
+  EXPECT_TRUE(serve::send_all(
+      http.get(), "POST /admin/drain HTTP/1.1\r\nHost: x\r\n\r\n"));
+  for (const char* trailing : {"x", "y"}) {
+    std::this_thread::sleep_for(300ms);
+    EXPECT_TRUE(serve::send_all(http.get(), trailing));
+  }
+  ingest.reset();  // the stream ends; the drain completes
+  const HttpResponse drained =
+      serve::parse_http_response(serve::recv_all(http.get()), "drain");
+  fe.join();
+  EXPECT_EQ(drained.status, 200) << drained.body;
+  EXPECT_EQ(fe.http_requests(), 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(FrontEnds, ConnCore,

@@ -145,4 +145,12 @@ TEST(ServeHttp, StatusText) {
   EXPECT_EQ(serve::http_status_text(299), "Unknown");
 }
 
+TEST(ServeHttp, StatusTextNamesBadGateway) {
+  // The router's answer when a backend fails it (fan-out, proxy, rebalance).
+  EXPECT_EQ(serve::http_status_text(502), "Bad Gateway");
+  EXPECT_EQ(serve::http_response(502, "application/json", "{}").rfind(
+                "HTTP/1.1 502 Bad Gateway\r\n", 0),
+            0u);
+}
+
 }  // namespace
