@@ -110,31 +110,33 @@ bool ConnCore::service(std::size_t tag, short revents) {
 
 void ConnCore::accept_ready(bool is_http) {
   const Fd& listener = is_http ? hub_.http_listener : hub_.ingest_listener;
-  while (true) {
-    // Reserve the slot under the global cap *before* accepting.
-    std::size_t cur = hub_.open.load(std::memory_order_relaxed);
-    do {
-      if (cur >= hub_.config.max_connections) return;
-    } while (!hub_.open.compare_exchange_weak(cur, cur + 1,
-                                              std::memory_order_relaxed));
+  // This is the hub's only accepting loop; the others only free slots.
+  while (!hub_.at_cap()) {
     int cfd = -1;
     do {
       cfd = ::accept4(listener.get(), nullptr, nullptr,
                       SOCK_NONBLOCK | SOCK_CLOEXEC);
     } while (cfd < 0 && errno == EINTR);
     if (cfd < 0) {
-      hub_.open.fetch_sub(1, std::memory_order_relaxed);
       if (errno == ECONNABORTED) continue;
-      return;  // EAGAIN (another loop won), or a transient kernel error
+      return;  // EAGAIN, or a transient kernel error
     }
-    conns_.push_back(
-        std::make_unique<Conn>(Fd(cfd), is_http, hub_.config.max_line_bytes));
-    ++accepted_;
-    add(loop_accepted, 1);
-    add(hub_.metrics.accepted[is_http], 1);
+    hub_.open.fetch_add(1, std::memory_order_relaxed);
     (is_http ? hub_.open_http : hub_.open_ingest)
         .fetch_add(1, std::memory_order_relaxed);
+    ++accepted_;
+    add(hub_.metrics.accepted[is_http], 1);
+    Fd socket(cfd);
+    if (is_http || !sink_.place(socket)) keep(std::move(socket), is_http);
   }
+}
+
+void ConnCore::adopt(Fd socket) { keep(std::move(socket), false); }
+
+void ConnCore::keep(Fd socket, bool is_http) {
+  conns_.push_back(std::make_unique<Conn>(std::move(socket), is_http,
+                                          hub_.config.max_line_bytes));
+  add(loop_accepted, 1);
 }
 
 void ConnCore::read(Conn& c) {
@@ -282,7 +284,7 @@ void ConnCore::sever_ingest() {
   }
 }
 
-void ConnCore::sweep_and_reap(Clock::time_point polled_at) {
+std::size_t ConnCore::sweep_and_reap(Clock::time_point polled_at) {
   if (hub_.config.idle_timeout_s > 0) {
     const auto timeout = std::chrono::duration_cast<Clock::duration>(
         std::chrono::duration<double>(hub_.config.idle_timeout_s));
@@ -303,8 +305,11 @@ void ConnCore::sweep_and_reap(Clock::time_point polled_at) {
     }
   }
   // Reap after the revents pass, so indices stay stable while handlers run.
+  std::size_t ingest_reaped = 0;
   for (const auto& c : conns_) {
-    if (c->dead) release(*c);
+    if (!c->dead) continue;
+    release(*c);
+    if (!c->is_http) ++ingest_reaped;
   }
   std::erase_if(conns_, [](const std::unique_ptr<Conn>& c) { return c->dead; });
   // Every loop republishes the shared counts, so no stale write survives
@@ -316,6 +321,7 @@ void ConnCore::sweep_and_reap(Clock::time_point polled_at) {
               .load(std::memory_order_relaxed)));
     }
   }
+  return ingest_reaped;
 }
 
 void ConnCore::release(const Conn& c) {

@@ -3,15 +3,16 @@
 //
 // A ConnHub is what every loop of one front end shares: the ingest and
 // HTTP listeners, the global connection cap and the open counts. A
-// ConnCore is one loop's connection half. It accepts under the cap (the
-// slot is reserved before accept4, so loops racing on one listener never
-// overshoot) and runs the read-budget loop: first-byte wire negotiation
-// (0xB1 selects binary frames for the connection's lifetime, anything
-// else the text grammar; serve/wire.h), the line and frame decoders, and
-// the HTTP request parse with its error reply. It dead-letters the
-// half-record an EOF or the idle sweep leaves, flushes responses under
-// POLLOUT, sweeps and reaps. What decoded bytes mean is its ConnSink's
-// business.
+// ConnCore is one loop's connection half. One loop per hub accepts, under
+// the cap (the other loops only ever free slots, so a check before
+// accept4 cannot overshoot); its sink may place an accepted ingest socket
+// on another loop, which adopts it. The core runs the read-budget loop:
+// first-byte wire negotiation (0xB1 selects binary frames for the
+// connection's lifetime, anything else the text grammar; serve/wire.h),
+// the line and frame decoders, and the HTTP request parse with its error
+// reply. It dead-letters the half-record an EOF or the idle sweep leaves,
+// flushes responses under POLLOUT, sweeps and reaps. What decoded bytes
+// mean is its ConnSink's business.
 //
 // Idle means idle on the client's side: the clock only runs while the
 // loop reads a connection and owes it no answer. Ingest connections whose
@@ -53,6 +54,10 @@ class ConnSink {
   /// One complete control-plane request. A deferred reply leaves the
   /// caller waiting until ConnCore::answer_deferred().
   virtual HttpReply on_request(const HttpRequest& request) = 0;
+  /// An ingest socket just accepted under the cap. A sink that moves it to
+  /// another loop (which adopts it with its slot) returns true; by default
+  /// the accepting core keeps it.
+  virtual bool place(Fd& /*socket*/) { return false; }
 
  protected:
   ~ConnSink() = default;
@@ -126,9 +131,12 @@ class ConnCore {
                    bool accept_ingest, bool accept_http, bool read_ingest);
   /// Services one ready poll entry; false when the tag is not the core's.
   bool service(std::size_t tag, short revents);
+  /// Takes over an ingest socket another loop accepted; its cap slot and
+  /// open count travel with it.
+  void adopt(Fd socket);
   /// The idle sweep, measured at `polled_at` (when poll() returned), then
-  /// the reap of dead connections.
-  void sweep_and_reap(std::chrono::steady_clock::time_point polled_at);
+  /// the reap of dead connections. Returns the ingest connections reaped.
+  std::size_t sweep_and_reap(std::chrono::steady_clock::time_point polled_at);
 
   /// Answers every caller a deferred reply left waiting.
   void answer_deferred(const HttpReply& reply);
@@ -143,12 +151,13 @@ class ConnCore {
   [[nodiscard]] std::uint64_t accepted() const { return accepted_; }
   [[nodiscard]] std::uint64_t requests() const { return requests_; }
 
-  obs::Counter* loop_accepted = nullptr;  ///< this loop's accepts
+  obs::Counter* loop_accepted = nullptr;  ///< connections this loop took on
 
  private:
   struct Conn;
 
   void accept_ready(bool is_http);
+  void keep(Fd socket, bool is_http);
   void read(Conn& c);
   void handle_request(Conn& c);
   void finish_ingest(Conn& c);

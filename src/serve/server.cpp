@@ -1,8 +1,10 @@
 #include "serve/server.h"
 
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
@@ -21,9 +23,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Poll tick: the idle sweep / checkpoint / stop-flag / pause-gate
-/// granularity — the longest a reactor can lag behind a rendezvous.
+/// Poll tick: the idle sweep / checkpoint / stop-flag granularity.
 constexpr int kPollTimeoutMs = 100;
+
+/// Poll-set tag of a reactor's wake eventfd.
+constexpr std::size_t kWakeTag = ConnCore::kHttpListenerTag - 1;
 
 std::uint64_t ns_since(Clock::time_point start) {
   const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -89,14 +93,20 @@ std::string user_verdicts_json(const stream::UserVerdicts& v) {
 }  // namespace
 
 /// One event-loop thread's private world: its connection core, its engine
-/// producer handle, and its serve_reactor_* metric handles. Nothing here
-/// is ever touched by another reactor. The reactor is its core's sink.
+/// producer handle, and its serve_reactor_* metric handles. Other reactors
+/// touch only its inbox, its wake eventfd and its ingest count. The
+/// reactor is its core's sink.
 struct Server::Reactor final : ConnSink {
   Reactor(Server& s, std::size_t i)
       : server(s),
         index(i),
         producer(*s.engine_),
-        core(s.hub_, *this, &s.crash_pending_) {}
+        core(s.hub_, *this, &s.crash_pending_),
+        wake_fd(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {
+    if (!wake_fd.valid()) {
+      throw NetError(std::string("eventfd: ") + std::strerror(errno));
+    }
+  }
 
   void on_line(std::string_view text, bool truncated) override {
     server.process_ingest_line(*this, text, truncated);
@@ -110,11 +120,40 @@ struct Server::Reactor final : ConnSink {
   HttpReply on_request(const HttpRequest& request) override {
     return server.route_request(*this, request);
   }
+  bool place(Fd& socket) override { return server.deal(socket); }
+
+  /// Ends this reactor's poll() wait.
+  void wake() const {
+    const std::uint64_t one = 1;
+    // Fails only on a saturated counter: the loop is already due to wake.
+    [[maybe_unused]] const ssize_t n =
+        ::write(wake_fd.get(), &one, sizeof(one));
+  }
+  /// On a wake: adopt every socket dealt to this reactor. The eventfd is
+  /// reset first, so a socket dealt meanwhile wakes the loop again.
+  void adopt_dealt() {
+    std::uint64_t wakes = 0;
+    [[maybe_unused]] const ssize_t n =
+        ::read(wake_fd.get(), &wakes, sizeof(wakes));
+    std::vector<Fd> dealt;
+    {
+      std::lock_guard<std::mutex> lock(inbox_mu);
+      dealt.swap(inbox);
+    }
+    for (Fd& socket : dealt) core.adopt(std::move(socket));
+  }
 
   Server& server;
   std::size_t index = 0;
   stream::StreamEngine::Producer producer;
   ConnCore core;
+  /// Written to wake the loop: a dealt socket, a raised pause gate, or
+  /// (reactor 0) a slot freed at the cap.
+  Fd wake_fd;
+  std::mutex inbox_mu;
+  std::vector<Fd> inbox;  ///< dealt by reactor 0, not yet adopted
+  /// Open ingest connections dealt here, inbox ones included.
+  std::atomic<std::size_t> ingest_conns{0};
   /// Reusable per-frame scratch: the non-replayed slice of a decoded
   /// binary frame, handed to the engine in one stage_batch call.
   std::vector<stream::Event> frame_scratch;
@@ -251,7 +290,8 @@ void Server::register_metrics() {
         "Well-formed wire records decoded, per reactor thread", label);
     reactor->core.loop_accepted = &r.counter(
         "serve_reactor_connections_total",
-        "Connections accepted, per reactor thread", label);
+        "Connections adopted, per reactor thread (reactor 0 accepts them "
+        "all and deals ingest to the least-loaded reactor)", label);
     reactor->m_stalls = &r.counter(
         "serve_reactor_stalls_total",
         "Times this reactor's engine producer found a shard mailbox full "
@@ -291,6 +331,23 @@ void Server::restore_from_checkpoint() {
   engine_->load_state(engine_payload);
   cursor_.store(restored->cursor, std::memory_order_relaxed);
   restored_cursor_ = restored->cursor;
+}
+
+bool Server::deal(Fd& socket) {
+  // The first least-loaded reactor: ties go to the lowest index.
+  Reactor& r = **std::min_element(
+      reactors_.begin(), reactors_.end(), [](const auto& a, const auto& b) {
+        return a->ingest_conns.load(std::memory_order_relaxed) <
+               b->ingest_conns.load(std::memory_order_relaxed);
+      });
+  r.ingest_conns.fetch_add(1, std::memory_order_relaxed);
+  if (r.index == 0) return false;
+  {
+    std::lock_guard<std::mutex> lock(r.inbox_mu);
+    r.inbox.push_back(std::move(socket));
+  }
+  r.wake();
+  return true;
 }
 
 bool Server::arrive_covered(trace::UserId user) {
@@ -560,9 +617,11 @@ bool Server::run_quiesced(Reactor& r0, const std::function<void()>& op) {
     pause_flag_.store(true, std::memory_order_release);
     std::unique_lock<std::mutex> lock(gate_mu_);
     pause_requested_ = true;
-    // Reactors notice the flag at their loop top, at worst one poll tick
-    // away; exiting reactors decrement running_others_ under gate_mu_, so
-    // the wait also unblocks when a reactor leaves instead of parking.
+    // Woken only once the request is up: a reactor woken before it could
+    // see the flag, find no request and sleep a whole poll tick.
+    for (std::size_t i = 1; i < reactors_.size(); ++i) reactors_[i]->wake();
+    // Exiting reactors decrement running_others_ under gate_mu_, so the
+    // wait also unblocks when a reactor leaves instead of parking.
     gate_cv_.wait(lock, [&] { return parked_ >= running_others_; });
   }
   r0.producer.flush();
@@ -698,16 +757,18 @@ void Server::reactor_loop(Reactor& r, const std::atomic<bool>* stop,
       }
       was_at_cap_ = at_cap;
     }
-    // Shared accept: every reactor polls the one ingest listener. The
-    // control plane is pinned to reactor 0, and only the ingest listener
-    // leaves the poll sets on drain: the control plane stays reachable so
-    // probes see /readyz flip to 503 and a fronting router can keep
-    // fanning out admin calls.
-    r.core.add_to_poll(pollfds, tags,
-                       !drain_requested_.load(std::memory_order_relaxed),
-                       leader, /*read_ingest=*/true);
+    // Reactor 0 polls both listeners. Only the ingest listener leaves its
+    // poll set on drain: the control plane stays reachable so probes see
+    // /readyz flip to 503 and a fronting router can keep fanning out admin
+    // calls.
+    pollfds.push_back({r.wake_fd.get(), POLLIN, 0});
+    tags.push_back(kWakeTag);
+    r.core.add_to_poll(
+        pollfds, tags,
+        leader && !drain_requested_.load(std::memory_order_relaxed), leader,
+        /*read_ingest=*/true);
 
-    const int ready = ::poll(pollfds.empty() ? nullptr : pollfds.data(),
+    const int ready = ::poll(pollfds.data(),
                              static_cast<nfds_t>(pollfds.size()),
                              kPollTimeoutMs);
     if (ready < 0 && errno != EINTR) {
@@ -715,9 +776,22 @@ void Server::reactor_loop(Reactor& r, const std::atomic<bool>* stop,
     }
     const Clock::time_point iteration_start = Clock::now();
     for (std::size_t i = 0; i < pollfds.size(); ++i) {
-      if (pollfds[i].revents != 0) r.core.service(tags[i], pollfds[i].revents);
+      if (pollfds[i].revents == 0) continue;
+      if (tags[i] == kWakeTag) {
+        r.adopt_dealt();
+      } else {
+        r.core.service(tags[i], pollfds[i].revents);
+      }
     }
-    r.core.sweep_and_reap(iteration_start);
+    if (const std::size_t closed = r.core.sweep_and_reap(iteration_start)) {
+      r.ingest_conns.fetch_sub(closed, std::memory_order_relaxed);
+      // At the cap reactor 0 polls no listener; the slots freed here would
+      // otherwise wait out its tick.
+      if (!leader && hub_.open.load(std::memory_order_relaxed) + closed >=
+                         config_.max_connections) {
+        reactors_.front()->wake();
+      }
+    }
 
     // Drain completion (leader only): every ingest stream everywhere has
     // been read to EOF and reaped (clients either closed or were
@@ -832,6 +906,7 @@ ServeStats Server::run(const std::atomic<bool>* stop) {
   hub_.ingest_listener.reset();
   hub_.http_listener.reset();
   for (auto& reactor : reactors_) {
+    reactor->adopt_dealt();  // dealt, never adopted: clear() frees them
     reactor->core.clear();
     stats_.http_requests += reactor->core.requests();
     stats_.connections += reactor->core.accepted();

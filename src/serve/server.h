@@ -2,12 +2,14 @@
 // front of the sharded StreamEngine.
 //
 // Reactor model (ServeConfig::reactors, default 1):
-//   - Every reactor polls the one shared non-blocking ingest listener
-//     (shared accept: the kernel wakes whoever it likes, losers see
-//     EAGAIN) and owns the connections it wins outright. Each reactor is
-//     one serve::ConnCore (serve/conn.h) — accept under the global
-//     --max-connections cap, decoding, write buffers, idle sweep — with
-//     the reactor as its sink.
+//   - Reactor 0 alone accepts, under the global --max-connections cap. It
+//     deals each ingest connection to the reactor with the fewest open
+//     ingest connections (itself included; ties to the lowest index),
+//     through that reactor's inbox and wake eventfd, and the reactor owns
+//     it from then on. Each reactor is one serve::ConnCore (serve/conn.h)
+//     — decoding, write buffers, idle sweep — with the reactor as its
+//     sink. A reactor that frees a slot at the cap wakes reactor 0, whose
+//     poll set holds no listener while the hub is full.
 //   - Each reactor feeds the engine through its own
 //     stream::StreamEngine::Producer handle: private per-shard staging,
 //     handoff under the owning shard's mailbox mutex only. There is no
@@ -19,11 +21,11 @@
 //
 // Engine-wide quiescence (checkpoints, the query endpoints' drain(), the
 // final finish()) runs only on reactor 0, inside a pause-gate rendezvous:
-// reactor 0 raises the gate, every other reactor flushes its producer and
-// parks at its loop top, reactor 0 runs the operation against the now
-// single-producer engine, then releases the gate. With one reactor the
-// gate degenerates to a no-op and the daemon behaves exactly like the
-// original single-threaded loop.
+// reactor 0 raises the gate and wakes every other reactor, which flushes
+// its producer and parks at its loop top; reactor 0 runs the operation
+// against the now single-producer engine, then releases the gate. With
+// one reactor the gate degenerates to a no-op and the daemon behaves
+// exactly like the original single-threaded loop.
 //
 // The per-user ordering contract is preserved by construction: the wire
 // protocol already requires each user's records on one connection, one
@@ -32,8 +34,8 @@
 //
 // Slow or hostile clients are bounded per reactor by per-connection
 // buffers, an idle timeout, and the global connection cap that removes
-// the listeners from every poll set while full (accept backpressure: the
-// kernel backlog, then the clients, absorb the wait).
+// the listeners from reactor 0's poll set while full (accept
+// backpressure: the kernel backlog, then the clients, absorb the wait).
 //
 // Resume contract: a checkpoint stores, besides the engine payload, the
 // per-user count of records the server had accepted (the CoverageLedger
@@ -184,6 +186,10 @@ class Server {
   std::filesystem::path write_checkpoint_now();
   void reactor_loop(Reactor& r, const std::atomic<bool>* stop,
                     bool* stopped_out);
+  /// Reactor 0's placement of an accepted ingest socket: counted on the
+  /// least-loaded reactor and, unless that is reactor 0, moved to its
+  /// inbox (true).
+  bool deal(Fd& socket);
   void process_ingest_line(Reactor& r, std::string_view text, bool truncated);
   /// One decoded binary frame: per-record coverage/replay accounting, then
   /// the surviving events reach the engine via one Producer::stage_batch.
@@ -197,13 +203,14 @@ class Server {
   /// Non-zero reactors call this at their loop top: when the pause gate is
   /// raised, flush the producer, report parked and wait for release.
   void park_if_paused(Reactor& r);
-  /// Reactor 0 only: raise the pause gate, wait until every live non-zero
-  /// reactor is parked, flush reactor 0's own producer, run `op` against
-  /// the quiesced (single-producer) engine, release the gate. A no-op
-  /// rendezvous with one reactor. Returns false without running `op` when
-  /// the crash hook fired during the rendezvous — a crashing reactor
-  /// drops its staged events, so the engine view is no longer consistent
-  /// with the coverage table and must not be persisted or served.
+  /// Reactor 0 only: raise the pause gate, wake every other reactor, wait
+  /// until every live non-zero reactor is parked, flush reactor 0's own
+  /// producer, run `op` against the quiesced (single-producer) engine,
+  /// release the gate. A no-op rendezvous with one reactor. Returns false
+  /// without running `op` when the crash hook fired during the rendezvous
+  /// — a crashing reactor drops its staged events, so the engine view is
+  /// no longer consistent with the coverage table and must not be
+  /// persisted or served.
   bool run_quiesced(Reactor& r0, const std::function<void()>& op);
   void release_gate();
   /// One arrival, through the user's coverage stripe: true when the

@@ -285,7 +285,8 @@ struct StreamEngine::Shard {
         busy = true;  // drain() must not report idle while this chunk runs
         if (metrics.mailbox_depth) metrics.mailbox_depth->set(0);
       }
-      cv_producer.notify_one();
+      // The whole mailbox just emptied: every blocked producer has room.
+      cv_producer.notify_all();
       std::size_t n = 0, n_gps = 0, n_checkin = 0;
       for (const Batch& batch : work) {
         n += batch.events.size();

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/parallel.h"
+#include "obs/metrics.h"
 #include "serve/net.h"
 #include "serve/server.h"
 #include "stream/quarantine.h"
@@ -163,6 +164,28 @@ TEST_P(ServeReactors, MaxConnectionsCapIsGlobalAcrossReactors) {
   EXPECT_GE(ts.stats.connections, 3u);  // holder + queued + the drain POST
 }
 
+TEST_P(ServeReactors, QueriesOnAnIdleServerNeverWaitOutThePollTick) {
+  ServeConfig config;
+  config.metrics = false;
+  config.reactors = GetParam();
+  TestServer ts(std::move(config));
+
+  // Every /v1/summary parks all other reactors first. An idle reactor
+  // sits in poll() for up to its 100 ms tick unless the pause gate wakes
+  // it, which made these 30 sequential queries take about 3 s.
+  constexpr int kQueries = 30;
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kQueries; ++i) {
+    ASSERT_EQ(
+        http_get("127.0.0.1", ts.server.http_port(), "/v1/summary").status,
+        200);
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 1500ms);
+
+  const HttpResponse drained = ts.drain_and_join();
+  EXPECT_EQ(drained.status, 200);
+}
+
 INSTANTIATE_TEST_SUITE_P(Reactors, ServeReactors,
                          ::testing::Values(1u, 2u, 4u),
                          [](const auto& param_info) {
@@ -200,6 +223,69 @@ TEST(ServeReactors, MetricsExposePerReactorFamilies) {
   EXPECT_NE(r.body.find("serve_reactor_loop_ns_bucket{reactor=\"0\",le="),
             std::string::npos);
 
+  const HttpResponse drained = ts.drain_and_join();
+  EXPECT_EQ(drained.status, 200);
+}
+
+TEST(ServeReactors, LeaderDealsIngestConnectionsEvenly) {
+  obs::registry().reset_values();
+  ServeConfig config;  // metrics on: the per-reactor counters are the proof
+  config.reactors = 2;
+  Server server(std::move(config));
+  server.start();
+
+  // All four wait in the listen backlog before any loop runs, so a
+  // reactor racing for the listener would take every one of them.
+  constexpr std::size_t kClients = 4;
+  std::vector<Fd> conns;
+  for (std::size_t i = 0; i < kClients; ++i) {
+    conns.push_back(tcp_connect("127.0.0.1", server.ingest_port()));
+  }
+  std::atomic<bool> stop{false};
+  ServeStats stats;
+  std::thread loop([&] { stats = server.run(&stop); });
+  for (std::size_t i = 0; i < kClients; ++i) {
+    const std::string user = std::to_string(300 + i);
+    EXPECT_TRUE(send_all(conns[i].get(),
+                         "checkin," + user + ",1000,1,Food,37.0,-122.0\n"));
+  }
+  conns.clear();
+  const HttpResponse drained =
+      http_post("127.0.0.1", server.http_port(), "/admin/drain");
+  loop.join();
+  EXPECT_EQ(drained.status, 200);
+  EXPECT_EQ(stats.records_applied, kClients);
+
+  const auto per_reactor = [](const char* family, const char* reactor) {
+    return obs::registry().counter(family, "", {{"reactor", reactor}}).value();
+  };
+  EXPECT_EQ(per_reactor("serve_reactor_connections_total", "1"), 2u);
+  EXPECT_EQ(per_reactor("serve_reactor_events_total", "0"), 2u);
+  EXPECT_EQ(per_reactor("serve_reactor_events_total", "1"), 2u);
+}
+
+TEST(ServeReactors, SlotFreedAtTheCapWakesTheAcceptingReactor) {
+  ServeConfig config;
+  config.metrics = false;
+  config.reactors = 2;
+  config.max_connections = 2;
+  TestServer ts(std::move(config));
+
+  // `first` stays on reactor 0; each `second` is dealt to reactor 1 and
+  // fills the hub, so reactor 0 stops polling the listeners. When reactor
+  // 1 reaps `second`, only its wake lets reactor 0 accept the queued
+  // request before its next 100 ms tick.
+  Fd first = tcp_connect("127.0.0.1", ts.server.ingest_port());
+  constexpr int kRounds = 10;
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kRounds; ++i) {
+    { Fd second = tcp_connect("127.0.0.1", ts.server.ingest_port()); }
+    ASSERT_EQ(http_get("127.0.0.1", ts.server.http_port(), "/healthz").status,
+              200);
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 500ms);
+
+  first.reset();
   const HttpResponse drained = ts.drain_and_join();
   EXPECT_EQ(drained.status, 200);
 }
