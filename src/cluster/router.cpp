@@ -145,20 +145,23 @@ struct SuspectToken {
   std::string checkins_text;  ///< verbatim backend token
 };
 
-/// Pulls the suspect rows out of one backend body
-/// ({"k":K,"suspects":[{"user":U,"score":S,"checkins":C},...]}). Rows
-/// that fail to parse are dropped — a malformed backend degrades the
-/// merge, it does not poison it.
-void extract_suspects(std::string_view body,
-                      std::vector<SuspectToken>& out) {
+/// The suspect rows of one backend body
+/// ({"k":K,"suspects":[{"user":U,"score":S,"checkins":C},...]}). Throws
+/// std::invalid_argument when the body has no suspects array, a cut row,
+/// or a row without its user, score or checkins: an unreadable answer is a
+/// failed backend, never a silently shorter merge.
+std::vector<SuspectToken> extract_suspects(std::string_view body) {
+  const auto bad = [] {
+    return std::invalid_argument("suspects JSON: unreadable body");
+  };
   std::size_t p = body.find("\"suspects\":[");
-  if (p == std::string_view::npos) return;
+  if (p == std::string_view::npos) throw bad();
   p += 12;
+  std::vector<SuspectToken> out;
   while (p < body.size() && body[p] != ']') {
     const std::size_t open = body.find('{', p);
-    if (open == std::string_view::npos) return;
     const std::size_t close = body.find('}', open);
-    if (close == std::string_view::npos) return;
+    if (close == std::string_view::npos) throw bad();
     const std::string_view obj = body.substr(open, close - open + 1);
     SuspectToken token;
     const std::string_view user = json_number_token(obj, "user");
@@ -168,15 +171,18 @@ void extract_suspects(std::string_view body,
         std::from_chars(user.data(), user.data() + user.size(), token.user);
     const auto [sptr, sec] = std::from_chars(
         score.data(), score.data() + score.size(), token.score_value);
-    if (!user.empty() && uec == std::errc{} &&
-        uptr == user.data() + user.size() && !score.empty() &&
-        sec == std::errc{} && !checkins.empty()) {
-      token.score_text.assign(score);
-      token.checkins_text.assign(checkins);
-      out.push_back(std::move(token));
+    if (user.empty() || uec != std::errc{} ||
+        uptr != user.data() + user.size() || score.empty() ||
+        sec != std::errc{} || checkins.empty()) {
+      throw bad();
     }
+    token.score_text.assign(score);
+    token.checkins_text.assign(checkins);
+    out.push_back(std::move(token));
     p = close + 1;
   }
+  if (p >= body.size()) throw bad();  // the array never closed
+  return out;
 }
 
 }  // namespace
@@ -477,6 +483,9 @@ std::vector<std::string> Router::fan_out(
         ok = on_reply(i, resp);
       } catch (const NetError&) {
         if (metrics_) metrics_->backend_errors[i]->inc();
+      } catch (const std::invalid_argument&) {
+        // An answer on_reply cannot read fails its backend, like no answer.
+        if (metrics_) metrics_->backend_errors[i]->inc();
       }
     }
     if (!ok) failed.push_back(addr.name);
@@ -512,8 +521,10 @@ HttpReply Router::handle_summary() {
   std::vector<std::string> bodies;
   const std::vector<std::string> failed =
       fan_out("GET", "/v1/summary", [&](std::size_t, serve::HttpResponse& r) {
-        if (r.status == 200) bodies.push_back(std::move(r.body));
-        return r.status == 200;
+        if (r.status != 200) return false;
+        (void)flatten_json_numbers(r.body);  // throws on an unreadable body
+        bodies.push_back(std::move(r.body));
+        return true;
       });
   if (bodies.empty()) {
     // Nothing to merge: the whole cluster is unreachable, error out.
@@ -566,12 +577,12 @@ HttpReply Router::handle_suspects(std::string_view target) {
   const std::vector<std::string> failed = fan_out(
       "GET", "/v1/suspects?k=" + std::to_string(*k),
       [&](std::size_t, serve::HttpResponse& resp) {
-        if (resp.status == 200) {
-          ++answered;
-          extract_suspects(resp.body, merged);
-        }
         saw_no_model |= resp.status == 409;
-        return resp.status == 200;
+        if (resp.status != 200) return false;
+        const std::vector<SuspectToken> rows = extract_suspects(resp.body);
+        merged.insert(merged.end(), rows.begin(), rows.end());
+        ++answered;
+        return true;
       });
   if (answered == 0 && saw_no_model) {
     // Uniform config case: the cluster serves without a model.

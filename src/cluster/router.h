@@ -237,10 +237,12 @@ class Router final : private serve::ConnSink {
   [[nodiscard]] int fanout_deadline_ms() const;
 
   /// One control-plane call (`method` GET or POST) to every backend under
-  /// the fan-out deadline. `on_reply(i, response)` judges each answer; an
-  /// unreachable backend counts in cluster_backend_errors_total. Backends
-  /// `skip` selects are not called. Returns, in ring order, the names of
-  /// the backends that were skipped, unreachable or judged failed.
+  /// the fan-out deadline. `on_reply(i, response)` judges each answer and
+  /// throws std::invalid_argument on a body it cannot read; such a backend,
+  /// like an unreachable or short-answering one (NetError), counts in
+  /// cluster_backend_errors_total. Backends `skip` selects are not called.
+  /// Returns, in ring order, the names of the backends that were skipped,
+  /// unreachable or judged failed.
   std::vector<std::string> fan_out(
       const std::string& method, const std::string& target,
       const std::function<bool(std::size_t, serve::HttpResponse&)>& on_reply,

@@ -197,7 +197,9 @@ std::optional<std::uint32_t> parse_user_id(std::string_view text) {
 
 std::optional<std::size_t> parse_suspects_k(std::string_view target) {
   if (target == "/v1/suspects") return 10;
-  return parse_whole<std::size_t>(target.substr(15));
+  const auto k = parse_whole<std::size_t>(target.substr(15));
+  if (k == 0) return std::nullopt;
+  return k;
 }
 
 HttpReply method_not_allowed(Route route) {

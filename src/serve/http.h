@@ -112,7 +112,8 @@ struct RouteMatch {
 [[nodiscard]] std::optional<std::uint32_t> parse_user_id(
     std::string_view text);
 
-/// The k of /v1/suspects[?k=N] (10 when absent); nullopt when malformed.
+/// The k of /v1/suspects[?k=N] (10 when absent); nullopt when malformed
+/// or zero.
 [[nodiscard]] std::optional<std::size_t> parse_suspects_k(
     std::string_view target);
 

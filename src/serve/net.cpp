@@ -301,6 +301,11 @@ HttpResponse parse_http_response(const std::string& raw,
   }
   resp.headers = raw.substr(line_end + 2, head_end - line_end - 2);
   resp.body = raw.substr(head_end + 4);
+  const std::string length = resp.header("Content-Length");
+  if (!length.empty() &&
+      resp.body.size() < std::strtoull(length.c_str(), nullptr, 10)) {
+    throw NetError(what + ": body shorter than its Content-Length");
+  }
   return resp;
 }
 

@@ -92,6 +92,21 @@ std::string user_verdicts_json(const stream::UserVerdicts& v) {
 
 }  // namespace
 
+/// Cached serve_* metric handles (null when ServeConfig::metrics is off);
+/// the connection families live in the hub's ConnMetrics.
+struct Server::Metrics {
+  obs::Counter* records_applied = nullptr;
+  obs::Counter* records_replayed = nullptr;
+  obs::Counter* records_malformed = nullptr;
+  obs::Gauge* ingest_lag = nullptr;
+  obs::Counter* accept_backpressure = nullptr;
+  obs::Counter* wire_frames = nullptr;       ///< serve_wire_frames_total
+  obs::Histogram* wire_batch_records = nullptr;
+  /// serve_wire_malformed_frames_total{reason=...}, indexed by
+  /// FrameErrorKind — the vocabulary is fixed and pre-registered.
+  std::array<obs::Counter*, kFrameErrorKindCount> wire_malformed{};
+};
+
 /// One event-loop thread's private world: its connection core, its engine
 /// producer handle, and its serve_reactor_* metric handles. Other reactors
 /// touch only its inbox, its wake eventfd and its ingest count. The
@@ -109,10 +124,23 @@ struct Server::Reactor final : ConnSink {
   }
 
   void on_line(std::string_view text, bool truncated) override {
-    server.process_ingest_line(*this, text, truncated);
+    if (text.empty() && !truncated) return;  // blank keepalive line
+    const WireResult result =
+        truncated ? WireResult(WireError{}) : parse_wire_record(text);
+    if (const auto* e = std::get_if<stream::Event>(&result)) {
+      server.apply(*this, {e, 1});
+      return;
+    }
+    server.count_malformed();
+    server.quarantine_->record_raw(text,
+                                   stream::QuarantineReason::kMalformedLine);
   }
   void on_frame(BinaryFrameDecoder::Frame& frame) override {
-    server.process_ingest_frame(*this, frame);
+    if (server.metrics_) {
+      server.metrics_->wire_frames->inc();
+      server.metrics_->wire_batch_records->observe(frame.events.size());
+    }
+    server.apply(*this, frame.events);
   }
   void on_frame_error(const FrameError& error) override {
     server.process_frame_error(error);
@@ -154,29 +182,14 @@ struct Server::Reactor final : ConnSink {
   std::vector<Fd> inbox;  ///< dealt by reactor 0, not yet adopted
   /// Open ingest connections dealt here, inbox ones included.
   std::atomic<std::size_t> ingest_conns{0};
-  /// Reusable per-frame scratch: the non-replayed slice of a decoded
-  /// binary frame, handed to the engine in one stage_batch call.
-  std::vector<stream::Event> frame_scratch;
+  /// Reusable scratch: the non-replayed slice of a line or frame, handed
+  /// to the engine in one stage_batch call.
+  std::vector<stream::Event> fresh;
 
   obs::Counter* m_events = nullptr;       ///< serve_reactor_events_total
   obs::Counter* m_stalls = nullptr;       ///< serve_reactor_stalls_total
   obs::Histogram* m_loop_ns = nullptr;    ///< serve_reactor_loop_ns
   std::uint64_t stalls_synced = 0;  ///< producer stalls already mirrored
-};
-
-/// Cached serve_* metric handles (null when ServeConfig::metrics is off);
-/// the connection families live in the hub's ConnMetrics.
-struct Server::Metrics {
-  obs::Counter* records_applied = nullptr;
-  obs::Counter* records_replayed = nullptr;
-  obs::Counter* records_malformed = nullptr;
-  obs::Gauge* ingest_lag = nullptr;
-  obs::Counter* accept_backpressure = nullptr;
-  obs::Counter* wire_frames = nullptr;       ///< serve_wire_frames_total
-  obs::Histogram* wire_batch_records = nullptr;
-  /// serve_wire_malformed_frames_total{reason=...}, indexed by
-  /// FrameErrorKind — the vocabulary is fixed and pre-registered.
-  std::array<obs::Counter*, kFrameErrorKindCount> wire_malformed{};
 };
 
 Server::Server(ServeConfig config) : config_(std::move(config)) {
@@ -329,7 +342,6 @@ void Server::restore_from_checkpoint() {
         "snapshot: trailing bytes after serve state");
   }
   engine_->load_state(engine_payload);
-  cursor_.store(restored->cursor, std::memory_order_relaxed);
   restored_cursor_ = restored->cursor;
 }
 
@@ -370,9 +382,16 @@ std::filesystem::path Server::write_checkpoint_now() {
   stream::SnapshotWriter w;
   CoverageLedger::write(w, std::move(coverage));
   w.blob(engine_->save_state());  // drains; quarantine flushed with it
-  return stream::write_checkpoint(
-      config_.checkpoint_dir,
-      {cursor_.load(std::memory_order_relaxed), w.take()});
+  const std::uint64_t applied =
+      records_applied_.load(std::memory_order_relaxed);
+  std::filesystem::path path = stream::write_checkpoint(
+      config_.checkpoint_dir, {restored_cursor_ + applied, w.take()});
+  applied_at_checkpoint_ = applied;
+  return path;
+}
+
+std::uint64_t Server::cursor() const {
+  return restored_cursor_ + records_applied_.load(std::memory_order_relaxed);
 }
 
 void Server::count_malformed() {
@@ -380,75 +399,34 @@ void Server::count_malformed() {
   if (metrics_) metrics_->records_malformed->inc();
 }
 
-void Server::count_applied(std::uint64_t applied) {
-  cursor_.fetch_add(applied, std::memory_order_relaxed);
-  records_since_checkpoint_.fetch_add(applied, std::memory_order_relaxed);
-  records_applied_.fetch_add(applied, std::memory_order_relaxed);
-  if (metrics_) metrics_->records_applied->inc(applied);
-}
-
-void Server::process_ingest_line(Reactor& r, std::string_view text,
-                                 bool truncated) {
-  if (text.empty() && !truncated) return;  // blank keepalive line
-  const WireResult result =
-      truncated ? WireResult(WireError{}) : parse_wire_record(text);
-  const auto* e = std::get_if<stream::Event>(&result);
-  if (e == nullptr) {
-    count_malformed();
-    quarantine_->record_raw(text, stream::QuarantineReason::kMalformedLine);
-    return;
-  }
-  const std::uint64_t parsed =
-      records_parsed_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (r.m_events != nullptr) r.m_events->inc();
-  if (arrive_covered(e->user)) {
-    // Checkpoint-covered prefix re-sent after a resume: the engine state
-    // already includes it. Skipping here is what turns the clients'
-    // at-least-once redelivery into exactly-once application.
-    records_replayed_.fetch_add(1, std::memory_order_relaxed);
-    if (metrics_) metrics_->records_replayed->inc();
-  } else {
-    // push() may block on engine backpressure — that is the design: TCP
-    // receive buffers fill and the feed slows to what the shards sustain.
-    if (r.producer.push(*e)) routed_.fetch_add(1, std::memory_order_relaxed);
-    count_applied(1);
-  }
-  if (config_.crash_after_records != 0 &&
-      parsed >= config_.crash_after_records) {
-    crash_pending_.store(true, std::memory_order_relaxed);
-  }
-}
-
-void Server::process_ingest_frame(Reactor& r,
-                                  BinaryFrameDecoder::Frame& frame) {
-  const std::uint64_t count = frame.events.size();
+void Server::apply(Reactor& r, std::span<const stream::Event> events) {
+  const std::uint64_t count = events.size();
   const std::uint64_t parsed =
       records_parsed_.fetch_add(count, std::memory_order_relaxed) + count;
   if (r.m_events != nullptr) r.m_events->inc(count);
-  if (metrics_) {
-    metrics_->wire_frames->inc();
-    metrics_->wire_batch_records->observe(count);
-  }
 
   // Coverage first, record by record (the exactly-once replay skip is
-  // per-user, per-record), then the survivors reach the engine as one
-  // columnar batch — a single stage_batch handoff per frame.
-  r.frame_scratch.clear();
-  for (const stream::Event& e : frame.events) {
-    if (!arrive_covered(e.user)) r.frame_scratch.push_back(e);
+  // per-user, per-record): a checkpoint-covered prefix re-sent after a
+  // resume is already in the engine state, and skipping it here is what
+  // turns the clients' at-least-once redelivery into exactly-once
+  // application.
+  r.fresh.clear();
+  for (const stream::Event& e : events) {
+    if (!arrive_covered(e.user)) r.fresh.push_back(e);
   }
-  const std::uint64_t applied = r.frame_scratch.size();
+  const std::uint64_t applied = r.fresh.size();
   if (applied < count) {
     records_replayed_.fetch_add(count - applied, std::memory_order_relaxed);
     if (metrics_) metrics_->records_replayed->inc(count - applied);
   }
   if (applied > 0) {
-    // stage_batch may block on engine backpressure, exactly like push():
-    // TCP receive buffers fill and the feed slows to what the shards
-    // sustain.
-    routed_.fetch_add(r.producer.stage_batch(r.frame_scratch),
+    // One handoff for the survivors. stage_batch may block on engine
+    // backpressure — that is the design: TCP receive buffers fill and the
+    // feed slows to what the shards sustain.
+    routed_.fetch_add(r.producer.stage_batch(r.fresh),
                       std::memory_order_relaxed);
-    count_applied(applied);
+    records_applied_.fetch_add(applied, std::memory_order_relaxed);
+    if (metrics_) metrics_->records_applied->inc(applied);
   }
   if (config_.crash_after_records != 0 &&
       parsed >= config_.crash_after_records) {
@@ -570,16 +548,14 @@ HttpReply Server::route_request(Reactor& r, const HttpRequest& req) {
       if (!run_quiesced(r, [&] { path = write_checkpoint_now(); })) {
         return shutting_down();
       }
-      records_since_checkpoint_.store(0, std::memory_order_relaxed);
-      const std::uint64_t cursor = cursor_.load(std::memory_order_relaxed);
-      return json(200, "{\"cursor\":" + std::to_string(cursor) +
+      return json(200, "{\"cursor\":" + std::to_string(cursor()) +
                            ",\"path\":\"" + path.string() + "\"}");
     }
     case Route::kDrain: {
       if (drain_done_.load(std::memory_order_relaxed)) {
         // A drain already completed; answer straight away (the loop is
         // about to exit).
-        return json(200, drained_json(cursor_.load(std::memory_order_relaxed)));
+        return json(200, drained_json(cursor()));
       }
       // Deferred response: every reactor stops accepting ingest, finishes
       // reading its connected streams to EOF, then reactor 0 quiesces all
@@ -696,7 +672,7 @@ std::string Server::summary_json() {
   append_number(out,
                      records_parsed_.load(std::memory_order_relaxed));
   out += ",\"cursor\":";
-  append_number(out, cursor_.load(std::memory_order_relaxed));
+  append_number(out, cursor());
   out += ",\"partition\":";
   append_partition_json(out, totals);
   out += ",\"prevalence\":{\"users_with_checkins\":";
@@ -785,10 +761,12 @@ void Server::reactor_loop(Reactor& r, const std::atomic<bool>* stop,
     }
     if (const std::size_t closed = r.core.sweep_and_reap(iteration_start)) {
       r.ingest_conns.fetch_sub(closed, std::memory_order_relaxed);
-      // At the cap reactor 0 polls no listener; the slots freed here would
-      // otherwise wait out its tick.
-      if (!leader && hub_.open.load(std::memory_order_relaxed) + closed >=
-                         config_.max_connections) {
+      // Reactor 0 polls no listener at the cap, and completes a pending
+      // drain only once every ingest connection is reaped: either way,
+      // what was reaped here would otherwise wait out its tick.
+      if (!leader && (drain_requested_.load(std::memory_order_relaxed) ||
+                      hub_.open.load(std::memory_order_relaxed) + closed >=
+                          config_.max_connections)) {
         reactors_.front()->wake();
       }
     }
@@ -807,27 +785,21 @@ void Server::reactor_loop(Reactor& r, const std::atomic<bool>* stop,
       // per-user verdicts served after a drain equal a batch run bit for
       // bit.
       const bool finalized = run_quiesced(r, [&] {
-        if (!config_.checkpoint_dir.empty()) {
-          write_checkpoint_now();
-          records_since_checkpoint_.store(0, std::memory_order_relaxed);
-        }
+        if (!config_.checkpoint_dir.empty()) write_checkpoint_now();
         engine_->finish();
       });
       if (finalized) {
         drain_done_.store(true, std::memory_order_release);
-        r.core.answer_deferred(
-            {Route::kDrain, 200,
-             drained_json(cursor_.load(std::memory_order_relaxed))});
+        r.core.answer_deferred({Route::kDrain, 200, drained_json(cursor())});
       }  // else: the crash hook fired mid-drain; the loop top exits next.
     }
 
     if (leader && !config_.checkpoint_dir.empty() &&
         config_.checkpoint_interval_records != 0 &&
-        records_since_checkpoint_.load(std::memory_order_relaxed) >=
+        records_applied_.load(std::memory_order_relaxed) -
+                applied_at_checkpoint_ >=
             config_.checkpoint_interval_records) {
-      if (run_quiesced(r, [&] { write_checkpoint_now(); })) {
-        records_since_checkpoint_.store(0, std::memory_order_relaxed);
-      }
+      run_quiesced(r, [&] { write_checkpoint_now(); });
     }
 
     if (leader) update_lag_gauge();
@@ -896,7 +868,10 @@ ServeStats Server::run(const std::atomic<bool>* stop) {
     if (!reactor_error_) reactor_error_ = std::current_exception();
     crash_pending_.store(true, std::memory_order_relaxed);
   }
+  // Woken, the others see stop_all_ at once instead of at their next tick
+  // (which would also hold back a drain caller's EOF until teardown).
   stop_all_.store(true, std::memory_order_relaxed);
+  for (std::size_t i = 1; i < reactors_.size(); ++i) reactors_[i]->wake();
   for (std::thread& t : threads) t.join();
 
   // Teardown. Crash simulation abandons everything in flight (recovery
@@ -928,7 +903,7 @@ ServeStats Server::run(const std::atomic<bool>* stop) {
       records_replayed_.load(std::memory_order_relaxed);
   stats_.records_malformed =
       records_malformed_.load(std::memory_order_relaxed);
-  stats_.cursor = cursor_.load(std::memory_order_relaxed);
+  stats_.cursor = cursor();
   stats_.restored_cursor = restored_cursor_;
 
   // A reactor-thread failure is a runtime error, not a clean exit: report

@@ -13,7 +13,9 @@
 //   - Each reactor feeds the engine through its own
 //     stream::StreamEngine::Producer handle: private per-shard staging,
 //     handoff under the owning shard's mailbox mutex only. There is no
-//     engine-global lock anywhere on the ingest path.
+//     engine-global lock anywhere on the ingest path. A text line and a
+//     binary frame take one path to it (Server::apply): coverage skip,
+//     accounting, then one Producer::stage_batch call.
 //   - The HTTP control plane is pinned to reactor 0: /healthz, /readyz
 //     (503 while draining — the router's backend health hook), /metrics
 //     (Prometheus text format), /v1/summary, /v1/users/{id}/verdicts,
@@ -58,6 +60,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -190,15 +193,16 @@ class Server {
   /// least-loaded reactor and, unless that is reactor 0, moved to its
   /// inbox (true).
   bool deal(Fd& socket);
-  void process_ingest_line(Reactor& r, std::string_view text, bool truncated);
-  /// One decoded binary frame: per-record coverage/replay accounting, then
-  /// the surviving events reach the engine via one Producer::stage_batch.
-  void process_ingest_frame(Reactor& r, BinaryFrameDecoder::Frame& frame);
+  /// The one ingest path, for a text line (a one-event span) and a binary
+  /// frame alike: parsed count, per-record coverage skip, accounting, one
+  /// Producer::stage_batch handoff for the survivors, the crash hook.
+  void apply(Reactor& r, std::span<const stream::Event> events);
   /// One rejected binary frame: counted under the typed reason and
   /// dead-lettered (hex-prefix detail) as `malformed_frame`.
   void process_frame_error(const FrameError& error);
   void count_malformed();
-  void count_applied(std::uint64_t applied);
+  /// Records covered by the engine state: restored plus applied.
+  [[nodiscard]] std::uint64_t cursor() const;
   HttpReply route_request(Reactor& r, const HttpRequest& req);
   /// Non-zero reactors call this at their loop top: when the pause gate is
   /// raised, flush the producer, report parked and wait for release.
@@ -237,9 +241,9 @@ class Server {
   /// Per-user coverage: arrivals this lifetime and, as each user's prefix,
   /// the coverage restored from the checkpoint being resumed.
   std::array<CoverageStripe, kCoverageStripes> coverage_;
-  std::atomic<std::uint64_t> cursor_{0};
   std::uint64_t restored_cursor_ = 0;
-  std::atomic<std::uint64_t> records_since_checkpoint_{0};
+  /// records_applied_ at the last checkpoint (reactor 0 only).
+  std::uint64_t applied_at_checkpoint_ = 0;
   /// Events the engine accepted (in-flight base for the lag gauge).
   std::atomic<std::uint64_t> routed_{0};
 

@@ -364,7 +364,6 @@ StreamEngine::StreamEngine(StreamEngineConfig config) : config_(config) {
     config_.mailbox_capacity = config_.batch_size;
   }
   shards_.reserve(config_.shards);
-  staging_.resize(config_.shards);
   for (std::size_t s = 0; s < config_.shards; ++s) {
     shards_.push_back(std::make_unique<Shard>());
     shards_.back()->index = s;
@@ -373,8 +372,8 @@ StreamEngine::StreamEngine(StreamEngineConfig config) : config_(config) {
     if (config_.model != nullptr) {
       shards_.back()->scorer.emplace(*config_.model);
     }
-    staging_[s].reserve(config_.batch_size);
   }
+  producer_.emplace(*this);
   if (config_.metrics) {
     obs::Registry& r = obs::registry();
     for (std::size_t s = 0; s < shards_.size(); ++s) {
@@ -443,43 +442,69 @@ std::size_t StreamEngine::shard_of(trace::UserId user) const {
   return static_cast<std::size_t>(mix64(user) % shards_.size());
 }
 
-bool StreamEngine::push(const Event& e) {
-  return push_from(e, staging_, nullptr);
+bool StreamEngine::push(const Event& e) { return producer_->push(e); }
+
+StreamEngine::Producer::Producer(StreamEngine& engine) : engine_(engine) {
+  staging_.resize(engine_.shards_.size());
+  for (auto& s : staging_) s.reserve(engine_.config_.batch_size);
 }
 
-bool StreamEngine::push_from(const Event& e,
-                             std::vector<std::vector<Event>>& staging,
-                             std::uint64_t* stall_count) {
-  if (finished_) {
+std::size_t StreamEngine::Producer::stage(std::span<const Event> events,
+                                          std::size_t hand_off_at) {
+  if (engine_.finished_) {
     throw std::logic_error("StreamEngine::push called after finish()");
   }
-  pushed_.fetch_add(1, std::memory_order_relaxed);
-  if (config_.quarantine != nullptr) {
+  engine_.pushed_.fetch_add(events.size(), std::memory_order_relaxed);
+  const StreamEngineConfig& config = engine_.config_;
+  std::size_t accepted = 0;
+  for (const Event& e : events) {
     // Payload validation happens producer-side (no per-user history
     // needed), so garbage never reaches the geodesic math or even a shard.
-    if (const auto reason = validate_event(e, config_.known_users)) {
-      config_.quarantine->record(e, *reason);
-      return false;
+    if (config.quarantine != nullptr) {
+      if (const auto reason = validate_event(e, config.known_users)) {
+        config.quarantine->record(e, *reason);
+        continue;
+      }
     }
+    const std::size_t s = engine_.shard_of(e.user);
+    staging_[s].push_back(e);
+    ++accepted;
+    if (staging_[s].size() >= hand_off_at) hand_off(s);
   }
-  const std::size_t s = shard_of(e.user);
-  staging[s].push_back(e);
-  if (staging[s].size() >= config_.batch_size) {
-    hand_off(s, staging[s], stall_count);
-  }
-  return true;
+  return accepted;
 }
 
-void StreamEngine::hand_off(std::size_t shard_index, std::vector<Event>& staged,
-                            std::uint64_t* stall_count) {
+bool StreamEngine::Producer::push(const Event& e) {
+  return stage({&e, 1}, engine_.config_.batch_size) == 1;
+}
+
+std::size_t StreamEngine::Producer::stage_batch(
+    std::span<const Event> events) {
+  const std::size_t accepted = stage(events, SIZE_MAX);
+  // One handoff per touched shard for the whole span — a full frame rides
+  // into a mailbox under a single lock acquisition, even when it exceeds
+  // batch_size (a mailbox batch is a vector of any length; the cap counts
+  // batches, and workers drain whole batches regardless of size).
+  for (std::size_t s = 0; s < staging_.size(); ++s) {
+    if (staging_[s].size() >= engine_.config_.batch_size) hand_off(s);
+  }
+  return accepted;
+}
+
+void StreamEngine::Producer::flush() {
+  for (std::size_t s = 0; s < staging_.size(); ++s) hand_off(s);
+}
+
+void StreamEngine::Producer::hand_off(std::size_t s) {
+  std::vector<Event>& staged = staging_[s];
   if (staged.empty()) return;
-  Shard& shard = *shards_[shard_index];
+  Shard& shard = *engine_.shards_[s];
   {
     std::unique_lock<std::mutex> lock(shard.mu);
     const bool full = shard.mailbox.size() >= shard.capacity_batches;
     if (full) {
       if (shard.metrics.stalls) shard.metrics.stalls->inc();
-      if (stall_count != nullptr) ++*stall_count;
+      ++stalls_;
     }
     {
       obs::StageTimer stall(full ? shard.metrics.stall_wait_ns : nullptr);
@@ -496,60 +521,12 @@ void StreamEngine::hand_off(std::size_t shard_index, std::vector<Event>& staged,
   }
   shard.cv_worker.notify_one();
   staged = std::vector<Event>();
-  staged.reserve(config_.batch_size);
-}
-
-StreamEngine::Producer::Producer(StreamEngine& engine) : engine_(engine) {
-  staging_.resize(engine_.shards_.size());
-  for (auto& s : staging_) s.reserve(engine_.config_.batch_size);
-}
-
-bool StreamEngine::Producer::push(const Event& e) {
-  return engine_.push_from(e, staging_, &stalls_);
-}
-
-std::size_t StreamEngine::Producer::stage_batch(
-    std::span<const Event> events) {
-  if (engine_.finished_) {
-    throw std::logic_error("StreamEngine::push called after finish()");
-  }
-  if (events.empty()) return 0;
-  engine_.pushed_.fetch_add(events.size(), std::memory_order_relaxed);
-  std::size_t accepted = 0;
-  for (const Event& e : events) {
-    if (engine_.config_.quarantine != nullptr) {
-      if (const auto reason =
-              validate_event(e, engine_.config_.known_users)) {
-        engine_.config_.quarantine->record(e, *reason);
-        continue;
-      }
-    }
-    staging_[engine_.shard_of(e.user)].push_back(e);
-    ++accepted;
-  }
-  // One handoff per touched shard for the whole span — a full frame rides
-  // into a mailbox under a single lock acquisition, even when it exceeds
-  // batch_size (a mailbox batch is a vector of any length; the cap counts
-  // batches, and workers drain whole batches regardless of size).
-  for (std::size_t s = 0; s < staging_.size(); ++s) {
-    if (staging_[s].size() >= engine_.config_.batch_size) {
-      engine_.hand_off(s, staging_[s], &stalls_);
-    }
-  }
-  return accepted;
-}
-
-void StreamEngine::Producer::flush() {
-  for (std::size_t s = 0; s < staging_.size(); ++s) {
-    engine_.hand_off(s, staging_[s], &stalls_);
-  }
+  staged.reserve(engine_.config_.batch_size);
 }
 
 void StreamEngine::finish() {
   if (finished_) return;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    hand_off(s, staging_[s], nullptr);
-  }
+  producer_->flush();
   for (auto& shard : shards_) {
     {
       std::lock_guard<std::mutex> lock(shard->mu);
@@ -568,9 +545,7 @@ void StreamEngine::finish() {
 
 void StreamEngine::drain() {
   if (finished_) return;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    hand_off(s, staging_[s], nullptr);
-  }
+  producer_->flush();
   for (auto& shard : shards_) {
     std::unique_lock<std::mutex> lock(shard->mu);
     shard->cv_idle.wait(

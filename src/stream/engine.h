@@ -15,12 +15,13 @@
 // per user, which is all the incremental pipeline needs, so the final
 // partition is independent of the shard count.
 //
-// Producers: push() serves the common single-producer case. Additional
-// concurrent producer threads each take their own Producer handle (private
+// Producers: every event enters through a Producer handle (private
 // per-shard staging, handoff under the owning shard's mutex only — no
-// engine-global lock). The quiescence points (drain/finish/save_state)
-// still assume a single caller with every Producer flushed and parked;
-// the serve layer's reactor pause gate provides exactly that rendezvous.
+// engine-global lock); push() is the engine's own. Concurrent producer
+// threads each take their own handle. The quiescence points
+// (drain/finish/save_state) assume a single caller with every other
+// Producer flushed and parked; the serve layer's reactor pause gate
+// provides exactly that rendezvous.
 #pragma once
 
 #include <atomic>
@@ -129,21 +130,23 @@ class StreamEngine {
   StreamEngine(const StreamEngine&) = delete;
   StreamEngine& operator=(const StreamEngine&) = delete;
 
-  /// Routes one event to its user's shard. Single producer thread; blocks
-  /// when that shard's mailbox is full. Must not be called after finish().
+  /// Routes one event to its user's shard via the engine's own Producer.
+  /// Single producer thread; blocks when that shard's mailbox is full.
+  /// Must not be called after finish().
   /// Returns false when the event was quarantined producer-side (payload
   /// validation) and never reached a shard — callers tracking in-flight
   /// depth (serve's ingest-lag gauge) only count `true` pushes.
   bool push(const Event& e);
 
-  /// A handle for one additional producer thread (the serve layer's
-  /// reactors). Each handle owns private per-shard staging, so concurrent
-  /// producers only ever meet at a shard's mailbox mutex — there is no
-  /// engine-global lock anywhere on the ingest path. Contract:
+  /// A handle for one producer thread: the engine owns the one behind
+  /// push(), and each serve reactor holds its own. Each handle owns
+  /// private per-shard staging, so concurrent producers only ever meet at
+  /// a shard's mailbox mutex — there is no engine-global lock anywhere on
+  /// the ingest path. Contract:
   ///   * one thread per handle (the handle itself is not thread-safe);
   ///   * all of a given user's events must flow through a single handle —
   ///     mailbox FIFO order is per-user order only then;
-  ///   * every handle must be flush()ed and its thread parked before
+  ///   * every other handle must be flush()ed and its thread parked before
   ///     drain()/finish()/save_state()/user_verdicts() run (the serve
   ///     layer's pause gate provides that rendezvous);
   ///   * a handle must not outlive its engine.
@@ -176,18 +179,29 @@ class StreamEngine {
     [[nodiscard]] std::uint64_t stalls() const { return stalls_; }
 
    private:
+    /// The one validate-quarantine-stage step behind push() and
+    /// stage_batch(): quarantines invalid payloads, stages the rest on
+    /// their shards, and hands a shard's staging off as soon as it holds
+    /// `hand_off_at` events. Returns how many events were accepted.
+    std::size_t stage(std::span<const Event> events, std::size_t hand_off_at);
+
+    /// Moves shard `s`'s staging into its mailbox, blocking while the
+    /// mailbox is full. Takes only that shard's mutex — safe beside any
+    /// number of concurrent producers.
+    void hand_off(std::size_t s);
+
     StreamEngine& engine_;
     std::vector<std::vector<Event>> staging_;  // per shard
     std::uint64_t stalls_ = 0;
   };
 
-  /// Flushes staged batches, drains every shard, finalizes all per-user
+  /// Flushes push()'s staging, drains every shard, finalizes all per-user
   /// state and joins the workers. Rethrows the first worker error (e.g. an
   /// out-of-order user stream). Idempotent.
   void finish();
 
-  /// Quiesces the engine without ending the stream: flushes all staged
-  /// batches and blocks until every shard's mailbox is empty and its worker
+  /// Quiesces the engine without ending the stream: flushes push()'s
+  /// staging and blocks until every shard's mailbox is empty and its worker
   /// idle. On return, partition() is exact for everything pushed so far and
   /// no worker touches per-user state until the next push — the window in
   /// which save_state() may run. Rethrows the first worker error (a
@@ -262,23 +276,11 @@ class StreamEngine {
  private:
   struct Shard;
 
-  /// Shared push path: validate, stage into `staging`, hand off full
-  /// batches. push() passes the engine's own staging; Producer handles pass
-  /// theirs.
-  bool push_from(const Event& e, std::vector<std::vector<Event>>& staging,
-                 std::uint64_t* stall_count);
-
-  /// Moves one staged batch into its shard's mailbox, blocking while the
-  /// mailbox is full. Takes only that shard's mutex — safe from any number
-  /// of concurrent producers.
-  void hand_off(std::size_t shard_index, std::vector<Event>& staged,
-                std::uint64_t* stall_count);
-
   [[nodiscard]] std::uint64_t config_fingerprint() const;
 
   StreamEngineConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<std::vector<Event>> staging_;  // producer-side, per shard
+  std::optional<Producer> producer_;  ///< push()'s handle, built after shards_
   /// Events accepted across all producers (incl. quarantined); atomic only
   /// so concurrent Producer handles may bump it without a lock.
   std::atomic<std::uint64_t> pushed_{0};

@@ -5,6 +5,8 @@
 // rebalance hook's error statuses, and the loadgen's measure-don't-abort
 // contract against a dead ingest port.
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <chrono>
@@ -18,6 +20,7 @@
 #include <vector>
 
 #include "cluster/router.h"
+#include "obs/metrics.h"
 #include "serve/client.h"
 #include "serve/net.h"
 #include "serve/server.h"
@@ -401,6 +404,153 @@ TEST(ClusterRouter, CheckpointFanOutIsAllOrError) {
   EXPECT_NE(r.body.find("\"status\":\"ok\""), std::string::npos);
   EXPECT_NE(r.body.find("\"name\":\"b0\""), std::string::npos);
   EXPECT_NE(r.body.find("\"name\":\"b1\""), std::string::npos);
+  (void)tc.drain_and_join();
+}
+
+/// A stand-in backend whose control plane answers every request with one
+/// canned `200` body; its ingest port only listens (the kernel backlog
+/// completes the router's connects).
+struct FakeBackend {
+  Fd ingest = serve::tcp_listen("127.0.0.1", 0);
+  Fd http = serve::tcp_listen("127.0.0.1", 0);
+  std::atomic<bool> stop{false};
+  std::thread loop;
+
+  explicit FakeBackend(const std::string& body) {
+    const std::string response =
+        "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+        "Content-Length: " + std::to_string(body.size()) +
+        "\r\nConnection: close\r\n\r\n" + body;
+    loop = std::thread([this, response] {
+      while (!stop.load()) {
+        pollfd p{http.get(), POLLIN, 0};
+        if (::poll(&p, 1, 20) <= 0) continue;
+        const Fd c(::accept(http.get(), nullptr, nullptr));
+        if (!c.valid()) continue;
+        std::string request;
+        char buf[4096];
+        while (request.find("\r\n\r\n") == std::string::npos) {
+          const ssize_t n = ::recv(c.get(), buf, sizeof(buf), 0);
+          if (n <= 0) break;
+          request.append(buf, static_cast<std::size_t>(n));
+        }
+        (void)send_all(c.get(), response);
+      }
+    });
+  }
+
+  ~FakeBackend() {
+    stop.store(true);
+    loop.join();
+  }
+
+  [[nodiscard]] BackendAddr addr(const std::string& name) const {
+    BackendAddr a;
+    a.name = name;
+    a.ingest_port = serve::local_port(ingest.get());
+    a.http_port = serve::local_port(http.get());
+    return a;
+  }
+};
+
+/// Runs a metrics-on router over `backends`, answers one GET of `target`
+/// through it, then stops it. `threw` reports whether the loop let an
+/// exception escape instead of answering.
+HttpResponse route_one_get(std::vector<BackendAddr> backends,
+                           const std::string& target, bool& threw) {
+  RouteConfig rc;
+  rc.backends = std::move(backends);
+  Router router(std::move(rc));
+  router.start();
+  std::atomic<bool> stop{false};
+  threw = false;
+  std::thread loop([&] {
+    try {
+      (void)router.run(&stop);
+    } catch (...) {
+      threw = true;
+    }
+  });
+  HttpResponse r;
+  try {
+    r = serve::http_get_deadline("127.0.0.1", router.http_port(), target,
+                                 5000);
+  } catch (const serve::NetError&) {
+    r.status = 0;  // no answer: the loop died with the request in it
+  }
+  stop.store(true);
+  loop.join();
+  return r;
+}
+
+std::uint64_t backend_errors(const std::string& name) {
+  return obs::registry()
+      .counter("cluster_backend_errors_total", "", {{"backend", name}})
+      .value();
+}
+
+TEST(ClusterRouter, UnreadableSummaryAnswerIsAFailedBackend) {
+  // One backend answers /v1/summary with a cut body. The router must
+  // degrade around it, not let the merge's parse error escape its loop.
+  obs::registry().reset_values();
+  serve::ServeConfig sc;
+  sc.metrics = false;
+  TestBackend real(std::move(sc));
+  BackendAddr good;
+  good.name = "good";
+  good.ingest_port = real.server.ingest_port();
+  good.http_port = real.server.http_port();
+  const FakeBackend garbled("{\"users\":");
+
+  bool threw = false;
+  const HttpResponse r =
+      route_one_get({good, garbled.addr("garbled")}, "/v1/summary", threw);
+  EXPECT_FALSE(threw);
+  EXPECT_EQ(r.status, 200) << r.body;
+  EXPECT_NE(r.body.find("\"degraded\":[\"garbled\"]"), std::string::npos)
+      << r.body;
+  EXPECT_NE(r.body.find("\"backends\":1"), std::string::npos) << r.body;
+  EXPECT_EQ(backend_errors("garbled"), 1u);
+  EXPECT_EQ(backend_errors("good"), 0u);
+
+  // With no readable answer at all there is nothing to merge: 502.
+  const HttpResponse alone =
+      route_one_get({garbled.addr("garbled")}, "/v1/summary", threw);
+  EXPECT_FALSE(threw);
+  EXPECT_EQ(alone.status, 502) << alone.body;
+  EXPECT_NE(alone.body.find("\"failed\":[\"garbled\"]"), std::string::npos)
+      << alone.body;
+}
+
+TEST(ClusterRouter, UnreadableSuspectsAnswerIsAFailedBackend) {
+  // Each body below is unreadable as a suspects answer; none may count as
+  // an answered backend with fewer rows.
+  for (const char* body :
+       {"{\"k\":10}",                                          // no array
+        "{\"k\":10,\"suspects\":[{\"user\":1,\"score\":0.5,\"chec",  // cut row
+        "{\"k\":10,\"suspects\":[{\"user\":1,\"score\":0.5}]}"}) {  // no checkins
+    SCOPED_TRACE(body);
+    obs::registry().reset_values();
+    const FakeBackend garbled(body);
+    bool threw = false;
+    const HttpResponse r =
+        route_one_get({garbled.addr("garbled")}, "/v1/suspects", threw);
+    EXPECT_FALSE(threw);
+    EXPECT_EQ(r.status, 502) << r.body;
+    EXPECT_NE(r.body.find("\"failed\":[\"garbled\"]"), std::string::npos)
+        << r.body;
+    EXPECT_EQ(backend_errors("garbled"), 1u);
+  }
+}
+
+TEST(ClusterRouter, SuspectsKOfZeroIsABadRequest) {
+  // Rejected at the router, before any fan-out: model-less backends would
+  // otherwise answer 409 for a request that is malformed.
+  TestCluster tc(2);
+  EXPECT_EQ(http_get("127.0.0.1", tc.http_port(), "/v1/suspects?k=0").status,
+            400);
+  EXPECT_EQ(http_get("127.0.0.1", tc.http_port(), "/v1/suspects?k=1").status,
+            409);
   (void)tc.drain_and_join();
 }
 

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "serve/http.h"
+#include "serve/net.h"
 
 namespace {
 
@@ -151,6 +152,33 @@ TEST(ServeHttp, StatusTextNamesBadGateway) {
   EXPECT_EQ(serve::http_response(502, "application/json", "{}").rfind(
                 "HTTP/1.1 502 Bad Gateway\r\n", 0),
             0u);
+}
+
+TEST(ServeHttp, SuspectsKOfZeroIsRejected) {
+  // A top-0 list is a malformed request, not an empty answer: both front
+  // ends answer 400 through this one parser.
+  EXPECT_EQ(serve::parse_suspects_k("/v1/suspects"), 10u);
+  EXPECT_EQ(serve::parse_suspects_k("/v1/suspects?k=1"), 1u);
+  EXPECT_EQ(serve::parse_suspects_k("/v1/suspects?k=0"), std::nullopt);
+  EXPECT_EQ(serve::parse_suspects_k("/v1/suspects?k=00"), std::nullopt);
+  EXPECT_EQ(serve::parse_suspects_k("/v1/suspects?k=x"), std::nullopt);
+}
+
+TEST(ServeHttp, ResponseShorterThanItsContentLengthThrows) {
+  // A peer that dies mid-answer leaves a cut body behind; handing it on
+  // would let a router merge or embed half an answer.
+  const std::string head =
+      "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+      "Content-Length: 11\r\nConnection: close\r\n\r\n";
+  EXPECT_THROW(serve::parse_http_response(head + "{\"users\":", "short"),
+               serve::NetError);
+  EXPECT_EQ(serve::parse_http_response(head + "{\"users\":1}", "whole").body,
+            "{\"users\":1}");
+  // Without a Content-Length the body runs to EOF, as before.
+  EXPECT_EQ(serve::parse_http_response(
+                "HTTP/1.1 200 OK\r\nConnection: close\r\n\r\nok", "eof")
+                .body,
+            "ok");
 }
 
 }  // namespace

@@ -290,6 +290,60 @@ TEST(ServeReactors, SlotFreedAtTheCapWakesTheAcceptingReactor) {
   EXPECT_EQ(drained.status, 200);
 }
 
+TEST(ServeReactors, DrainAnswersAsSoonAsTheLastDealtConnectionCloses) {
+  // One ingest connection per reactor, the one on the highest index closed
+  // last, with a drain pending. Its reactor must wake reactor 0 to finish
+  // the drain, and reactor 0 must wake the others to exit, so the caller's
+  // answer (read to EOF) never waits out a 100 ms poll tick.
+  using Clock = std::chrono::steady_clock;
+  for (const std::size_t reactors : {2u, 4u}) {
+    SCOPED_TRACE("reactors " + std::to_string(reactors));
+    constexpr int kRounds = 5;
+    Clock::duration waited{};
+    for (int round = 0; round < kRounds; ++round) {
+      ServeConfig config;
+      config.metrics = false;
+      config.reactors = reactors;
+      Server server(std::move(config));
+      server.start();
+      // Opened before run(): reactor 0 deals them in order, one per
+      // reactor (ties go to the lowest index).
+      std::vector<Fd> conns;
+      for (std::size_t i = 0; i < reactors; ++i) {
+        conns.push_back(tcp_connect("127.0.0.1", server.ingest_port()));
+      }
+      std::atomic<bool> stop{false};
+      ServeStats stats;
+      std::thread loop([&] { stats = server.run(&stop); });
+      for (std::size_t i = 0; i < reactors; ++i) {
+        const std::string user = std::to_string(400 + i);
+        EXPECT_TRUE(send_all(conns[i].get(),
+                             "checkin," + user + ",1000,1,Food,37.0,-122.0\n"));
+      }
+      HttpResponse drained;
+      Clock::time_point answered;
+      std::thread caller([&] {
+        drained = http_post("127.0.0.1", server.http_port(), "/admin/drain");
+        answered = Clock::now();
+      });
+      while (http_get("127.0.0.1", server.http_port(), "/readyz").status !=
+             503) {
+        std::this_thread::sleep_for(1ms);
+      }
+      for (std::size_t i = 0; i + 1 < reactors; ++i) conns[i].reset();
+      std::this_thread::sleep_for(20ms);  // those closes are reaped first
+      const Clock::time_point closed = Clock::now();
+      conns.back().reset();
+      caller.join();
+      loop.join();
+      waited += answered - closed;
+      EXPECT_EQ(drained.status, 200);
+      EXPECT_EQ(stats.records_applied, reactors);
+    }
+    EXPECT_LT(waited, 250ms);
+  }
+}
+
 TEST(ServeReactors, ZeroResolvesToHardwareConcurrency) {
   ServeConfig config;
   config.metrics = false;

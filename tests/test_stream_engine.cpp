@@ -5,15 +5,21 @@
 // sanity, throttled replay).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "geo/geodesic.h"
 #include "match/pipeline.h"
 #include "stream/engine.h"
+#include "stream/faults.h"
+#include "stream/quarantine.h"
 #include "stream/replay.h"
 #include "synth/config.h"
 #include "synth/study_generator.h"
@@ -253,6 +259,71 @@ TEST(StreamEngine, ProducerFlushDeliversStagedTail) {
   producer.flush();
   engine.finish();
   EXPECT_EQ(engine.events_processed(), 3u);
+}
+
+TEST(StreamEngine, PushAndStageBatchAgreeOnACorruptedStream) {
+  // push() and Producer::stage_batch share one validate-quarantine-stage
+  // step: on the same corrupted stream they quarantine the same records for
+  // the same reasons and reach the same engine state, whatever the span
+  // length — only the handoff batching differs.
+  const synth::GeneratedStudy study =
+      synth::generate_study(synth::tiny_preset());
+  std::vector<Event> events = flatten_dataset(study.dataset);
+  std::unordered_set<trace::UserId> enrolled;
+  for (const trace::UserRecord& u : study.dataset.users()) {
+    enrolled.insert(u.id);
+  }
+  FaultPlan plan;
+  plan.corrupt_rate = 0.05;
+  plan.seed = 3;
+  ASSERT_FALSE(FaultInjector(plan).corrupt_stream(events).empty());
+
+  struct Outcome {
+    std::array<std::uint64_t, kQuarantineReasonCount> quarantined{};
+    std::string state;
+    match::Partition partition;
+  };
+  // span 0 feeds push(); any other value, stage_batch in spans that long.
+  const auto feed = [&](std::size_t span) {
+    Quarantine quarantine;
+    StreamEngineConfig config;
+    config.shards = 3;
+    config.quarantine = &quarantine;
+    config.known_users = &enrolled;
+    StreamEngine engine(config);
+    if (span == 0) {
+      for (const Event& e : events) (void)engine.push(e);
+    } else {
+      StreamEngine::Producer producer(engine);
+      const std::span<const Event> all(events);
+      for (std::size_t i = 0; i < all.size(); i += span) {
+        (void)producer.stage_batch(
+            all.subspan(i, std::min(span, all.size() - i)));
+      }
+      producer.flush();
+    }
+    Outcome out;
+    out.state = engine.save_state();
+    engine.finish();
+    out.partition = engine.partition();
+    for (std::size_t r = 0; r < kQuarantineReasonCount; ++r) {
+      out.quarantined[r] =
+          quarantine.count(static_cast<QuarantineReason>(r));
+    }
+    return out;
+  };
+
+  const Outcome pushed = feed(0);
+  std::uint64_t quarantined = 0;
+  for (const std::uint64_t n : pushed.quarantined) quarantined += n;
+  ASSERT_GT(quarantined, 0u);
+  for (const std::size_t span : {1u, 7u, 512u}) {
+    SCOPED_TRACE("span " + std::to_string(span));
+    const Outcome staged = feed(span);
+    EXPECT_EQ(staged.quarantined, pushed.quarantined);
+    EXPECT_TRUE(staged.state == pushed.state);
+    expect_partition_eq(staged.partition, pushed.partition);
+  }
 }
 
 // ---- Query API (the serve layer's /v1/users/{id}/verdicts source) ----
