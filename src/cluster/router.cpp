@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <charconv>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -13,6 +12,7 @@
 #include "cluster/aggregate.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
+#include "trace/fields.h"
 
 namespace geovalid::cluster {
 namespace {
@@ -68,11 +68,11 @@ std::optional<trace::UserId> route_key(std::string_view line) {
     return std::nullopt;
   }
   const std::size_t comma = rest.find(',');
-  if (comma == 0 || comma == std::string_view::npos) return std::nullopt;
   trace::UserId id = 0;
-  const char* begin = rest.data();
-  const auto [ptr, ec] = std::from_chars(begin, begin + comma, id);
-  if (ec != std::errc{} || ptr != begin + comma) return std::nullopt;
+  if (comma == std::string_view::npos ||
+      !trace::parse_int(rest.substr(0, comma), id)) {
+    return std::nullopt;
+  }
   return id;
 }
 
@@ -167,13 +167,8 @@ std::vector<SuspectToken> extract_suspects(std::string_view body) {
     const std::string_view user = json_number_token(obj, "user");
     const std::string_view score = json_number_token(obj, "score");
     const std::string_view checkins = json_number_token(obj, "checkins");
-    const auto [uptr, uec] =
-        std::from_chars(user.data(), user.data() + user.size(), token.user);
-    const auto [sptr, sec] = std::from_chars(
-        score.data(), score.data() + score.size(), token.score_value);
-    if (user.empty() || uec != std::errc{} ||
-        uptr != user.data() + user.size() || score.empty() ||
-        sec != std::errc{} || checkins.empty()) {
+    if (!trace::parse_int(user, token.user) ||
+        !trace::parse_double(score, token.score_value) || checkins.empty()) {
       throw bad();
     }
     token.score_text.assign(score);

@@ -1,7 +1,8 @@
 #include "serve/http.h"
 
 #include <cctype>
-#include <charconv>
+
+#include "trace/fields.h"
 
 namespace geovalid::serve {
 namespace {
@@ -37,17 +38,6 @@ constexpr RouteSpec kRoutes[kRouteCount] = {
 bool ends_with(std::string_view s, std::string_view suffix) {
   return s.size() >= suffix.size() &&
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-template <typename T>
-std::optional<T> parse_whole(std::string_view text) {
-  T value{};
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (text.empty() || ec != std::errc{} || ptr != text.data() + text.size()) {
-    return std::nullopt;
-  }
-  return value;
 }
 
 std::string_view trim(std::string_view s) {
@@ -144,11 +134,7 @@ HttpRequestParser::State HttpRequestParser::parse_head() {
   const std::string_view length = request_.header("content-length");
   if (!length.empty()) {
     std::size_t n = 0;
-    const auto [ptr, ec] =
-        std::from_chars(length.data(), length.data() + length.size(), n);
-    if (ec != std::errc{} || ptr != length.data() + length.size()) {
-      return fail(400, "bad Content-Length");
-    }
+    if (!trace::parse_int(length, n)) return fail(400, "bad Content-Length");
     if (n > kMaxHttpBodyBytes) return fail(413, "request body too large");
     body_expected_ = n;
   }
@@ -192,13 +178,15 @@ RouteMatch match_route(const HttpRequest& request) {
 }
 
 std::optional<std::uint32_t> parse_user_id(std::string_view text) {
-  return parse_whole<std::uint32_t>(text);
+  std::uint32_t id = 0;
+  if (!trace::parse_int(text, id)) return std::nullopt;
+  return id;
 }
 
 std::optional<std::size_t> parse_suspects_k(std::string_view target) {
   if (target == "/v1/suspects") return 10;
-  const auto k = parse_whole<std::size_t>(target.substr(15));
-  if (k == 0) return std::nullopt;
+  std::size_t k = 0;
+  if (!trace::parse_int(target.substr(15), k) || k == 0) return std::nullopt;
   return k;
 }
 

@@ -11,8 +11,9 @@
 #include <cctype>
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
+
+#include "trace/fields.h"
 
 namespace geovalid::serve {
 namespace {
@@ -290,11 +291,11 @@ HttpResponse parse_http_response(const std::string& raw,
     throw NetError(what + ": short response");
   }
   const std::string status_line = raw.substr(0, line_end);
-  const std::size_t sp = status_line.find(' ');
-  if (sp == std::string::npos) {
+  trace::Fields f;
+  if (trace::split_fields(status_line, ' ', f) < 2 ||
+      !trace::parse_int(f[1], resp.status)) {
     throw NetError(what + ": malformed status line: " + status_line);
   }
-  resp.status = std::atoi(status_line.c_str() + sp + 1);
   const std::size_t head_end = raw.find("\r\n\r\n");
   if (head_end == std::string::npos) {
     throw NetError(what + ": response head never ended");
@@ -302,8 +303,11 @@ HttpResponse parse_http_response(const std::string& raw,
   resp.headers = raw.substr(line_end + 2, head_end - line_end - 2);
   resp.body = raw.substr(head_end + 4);
   const std::string length = resp.header("Content-Length");
-  if (!length.empty() &&
-      resp.body.size() < std::strtoull(length.c_str(), nullptr, 10)) {
+  std::size_t expected = 0;
+  if (!length.empty() && !trace::parse_int(length, expected)) {
+    throw NetError(what + ": bad Content-Length: " + length);
+  }
+  if (resp.body.size() < expected) {
     throw NetError(what + ": body shorter than its Content-Length");
   }
   return resp;

@@ -3,94 +3,40 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <charconv>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 
 #include "stream/snapshot_io.h"
+#include "trace/fields.h"
 #include "trace/poi.h"
 
 namespace geovalid::serve {
-namespace {
-
-/// Splits on commas into at most `max_fields` views. Returns the field
-/// count, or max_fields + 1 when the line has too many separators.
-std::size_t split(std::string_view line,
-                  std::array<std::string_view, 9>& fields,
-                  std::size_t max_fields) {
-  std::size_t count = 0;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t comma = line.find(',', start);
-    if (count == max_fields) return max_fields + 1;
-    fields[count++] = line.substr(
-        start, comma == std::string_view::npos ? comma : comma - start);
-    if (comma == std::string_view::npos) return count;
-    start = comma + 1;
-  }
-}
-
-/// Same numeric grammar as the CSV reader (trace/csv.cpp): strict integers
-/// via from_chars, doubles via strtod over a bounded copy (accepts the
-/// nan/inf spellings the fault injector can produce — the quarantine path
-/// rejects them semantically, with the same reason as CSV ingest).
-template <typename T>
-bool parse_int(std::string_view s, T& out) {
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
-  return ec == std::errc{} && ptr == s.data() + s.size();
-}
-
-bool parse_double(std::string_view s, double& out) {
-  char buf[64];
-  if (s.empty() || s.size() >= sizeof(buf)) return false;
-  std::memcpy(buf, s.data(), s.size());
-  buf[s.size()] = '\0';
-  char* end = nullptr;
-  out = std::strtod(buf, &end);
-  return end == buf + s.size();
-}
-
-WireError err(const char* what) { return WireError{what}; }
-
-}  // namespace
-
 WireResult parse_wire_record(std::string_view line) {
-  std::array<std::string_view, 9> f;
-  const std::size_t n = split(line, f, 9);
-  if (n == 0 || f[0].empty()) return err("empty record");
+  trace::Fields f;
+  const std::size_t n = trace::split_fields(line, ',', f);
+  trace::UserId user = 0;
   if (f[0] == "gps") {
-    if (n != 8) return err("gps record expects 8 fields");
-    trace::UserId user = 0;
+    if (n != 1 + trace::kGpsFields) {
+      return WireError{"gps record expects 8 fields"};
+    }
     trace::GpsPoint p;
-    int has_fix = 0;
-    if (!parse_int(f[1], user)) return err("bad user field");
-    if (!parse_int(f[2], p.t)) return err("bad t field");
-    if (!parse_double(f[3], p.position.lat_deg)) return err("bad lat field");
-    if (!parse_double(f[4], p.position.lon_deg)) return err("bad lon field");
-    if (!parse_int(f[5], has_fix)) return err("bad has_fix field");
-    p.has_fix = has_fix != 0;
-    if (!parse_int(f[6], p.wifi_fingerprint)) return err("bad wifi field");
-    if (!parse_double(f[7], p.accel_variance)) {
-      return err("bad accel_var field");
+    if (const char* bad = trace::parse_gps_fields(
+            std::span(f).subspan<1, trace::kGpsFields>(), user, p)) {
+      return WireError{bad};
     }
     return stream::Event::gps_sample(user, p);
   }
   if (f[0] == "checkin") {
-    if (n != 7) return err("checkin record expects 7 fields");
-    trace::UserId user = 0;
+    if (n != 1 + trace::kCheckinFields) {
+      return WireError{"checkin record expects 7 fields"};
+    }
     trace::Checkin c;
-    if (!parse_int(f[1], user)) return err("bad user field");
-    if (!parse_int(f[2], c.t)) return err("bad t field");
-    if (!parse_int(f[3], c.poi)) return err("bad poi field");
-    const auto category = trace::parse_poi_category(f[4]);
-    if (!category) return err("unknown category");
-    c.category = *category;
-    if (!parse_double(f[5], c.location.lat_deg)) return err("bad lat field");
-    if (!parse_double(f[6], c.location.lon_deg)) return err("bad lon field");
+    if (const char* bad = trace::parse_checkin_fields(
+            std::span(f).subspan<1, trace::kCheckinFields>(), user, c)) {
+      return WireError{bad};
+    }
     return stream::Event::checkin_event(user, c);
   }
-  return err("unknown record kind");
+  return WireError{f[0].empty() ? "empty record" : "unknown record kind"};
 }
 
 void append_wire_record(std::string& out, const stream::Event& e) {

@@ -1,8 +1,9 @@
 // Line-delimited ingest wire protocol: the bytes clients stream at the
 // serve layer's TCP ingest port.
 //
-// One record per line, LF or CRLF terminated, same field grammar as the
-// CSV datasets (trace/csv.cpp) with a leading kind verb:
+// One record per line, LF or CRLF terminated: a gps.csv or checkins.csv
+// row behind its kind verb, parsed by the same trace/fields.h functions
+// as the CSV datasets, so both share one field and number grammar:
 //
 //   gps,<user>,<t>,<lat>,<lon>,<has_fix>,<wifi>,<accel_var>
 //   checkin,<user>,<t>,<poi>,<category>,<lat>,<lon>

@@ -1,7 +1,6 @@
 #include "stream/faults.h"
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -9,6 +8,8 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+
+#include "trace/fields.h"
 
 namespace geovalid::stream {
 namespace {
@@ -36,8 +37,7 @@ double uniform01(std::uint64_t seed, std::uint64_t offset,
 std::uint64_t parse_u64(std::string_view spec, std::string_view s,
                         const char* what) {
   std::uint64_t v = 0;
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc{} || ptr != s.data() + s.size()) {
+  if (!trace::parse_int(s, v)) {
     bad_spec(spec, std::string(what) + " expects a non-negative integer, got '" +
                        std::string(s) + "'");
   }
@@ -46,45 +46,39 @@ std::uint64_t parse_u64(std::string_view spec, std::string_view s,
 
 double parse_rate(std::string_view spec, std::string_view s) {
   double v = 0.0;
-  char buf[64];
-  if (s.empty() || s.size() >= sizeof(buf)) {
-    bad_spec(spec, "corrupt expects a probability");
-  }
-  s.copy(buf, s.size());
-  buf[s.size()] = '\0';
-  char* end = nullptr;
-  v = std::strtod(buf, &end);
-  if (end != buf + s.size() || !(v > 0.0) || v > 1.0) {
+  if (!trace::parse_double(s, v) || !(v > 0.0) || v > 1.0) {
     bad_spec(spec, "corrupt expects a probability in (0, 1], got '" +
                        std::string(s) + "'");
   }
   return v;
 }
 
-}  // namespace
-
-FaultPlan parse_fault_spec(std::string_view spec) {
-  FaultPlan plan;
-  std::size_t start = 0;
-  bool any = false;
-  while (start <= spec.size()) {
-    const std::size_t comma = spec.find(',', start);
-    const std::string_view clause =
-        spec.substr(start, comma == std::string_view::npos ? std::string_view::npos
-                                                           : comma - start);
-    start = comma == std::string_view::npos ? spec.size() + 1 : comma + 1;
-    if (clause.empty()) {
-      if (spec.empty()) break;
-      bad_spec(spec, "empty clause");
-    }
-    any = true;
+/// Calls `on(key, value)` for each comma-separated key=value clause of
+/// `spec`. An empty spec has no clauses; an empty clause, or one without
+/// '=', is malformed.
+template <typename On>
+void for_each_clause(std::string_view spec, On&& on) {
+  if (spec.empty()) return;
+  for (std::string_view rest = spec;;) {
+    const std::size_t comma = rest.find(',');
+    const std::string_view clause = rest.substr(0, comma);
+    if (clause.empty()) bad_spec(spec, "empty clause");
     const std::size_t eq = clause.find('=');
     if (eq == std::string_view::npos) {
       bad_spec(spec, "clause '" + std::string(clause) +
                          "' is not of the form key=value");
     }
-    const std::string_view key = clause.substr(0, eq);
-    const std::string_view value = clause.substr(eq + 1);
+    on(clause.substr(0, eq), clause.substr(eq + 1));
+    if (comma == std::string_view::npos) break;
+    rest.remove_prefix(comma + 1);
+  }
+}
+
+}  // namespace
+
+FaultPlan parse_fault_spec(std::string_view spec) {
+  FaultPlan plan;
+  for_each_clause(spec, [&](std::string_view key, std::string_view value) {
     if (key == "corrupt") {
       plan.corrupt_rate = parse_rate(spec, value);
     } else if (key == "kill") {
@@ -111,8 +105,7 @@ FaultPlan parse_fault_spec(std::string_view spec) {
     } else {
       bad_spec(spec, "unknown clause '" + std::string(key) + "'");
     }
-  }
-  if (!any && !spec.empty()) bad_spec(spec, "no clauses");
+  });
   return plan;
 }
 
@@ -191,28 +184,10 @@ void FaultInjector::on_shard_event(std::size_t shard,
 
 NetFaultPlan parse_net_fault_spec(std::string_view spec) {
   NetFaultPlan plan;
-  std::size_t start = 0;
-  while (start <= spec.size()) {
-    const std::size_t comma = spec.find(',', start);
-    const std::string_view clause =
-        spec.substr(start, comma == std::string_view::npos
-                               ? std::string_view::npos
-                               : comma - start);
-    start = comma == std::string_view::npos ? spec.size() + 1 : comma + 1;
-    if (clause.empty()) {
-      if (spec.empty()) break;
-      bad_spec(spec, "empty clause");
-    }
-    const std::size_t eq = clause.find('=');
-    if (eq == std::string_view::npos) {
-      bad_spec(spec, "clause '" + std::string(clause) +
-                         "' is not of the form key=value");
-    }
-    const std::string_view key = clause.substr(0, eq);
-    const std::string_view value = clause.substr(eq + 1);
+  for_each_clause(spec, [&](std::string_view key, std::string_view value) {
     if (key == "seed") {
       plan.seed = parse_u64(spec, value, "seed");
-      continue;
+      return;
     }
     NetFault fault;
     if (key == "netdrop") {
@@ -253,7 +228,7 @@ NetFaultPlan parse_net_fault_spec(std::string_view spec) {
       bad_spec(spec, std::string(key) + " count must be positive");
     }
     plan.faults.push_back(std::move(fault));
-  }
+  });
   return plan;
 }
 

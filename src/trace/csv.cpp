@@ -1,20 +1,17 @@
 #include "trace/csv.h"
 
-#include <charconv>
-#include <cstdlib>
-#include <cstring>
+#include <cmath>
 #include <fstream>
 #include <map>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
-#include <type_traits>
 #include <vector>
-
-#include <cmath>
 
 #include "geo/latlon.h"
 #include "obs/metrics.h"
+#include "trace/fields.h"
 
 namespace geovalid::trace {
 namespace {
@@ -43,90 +40,47 @@ std::string sanitize(std::string_view name) {
   throw IngestError(os.str());
 }
 
-/// Rejects coordinates that parse but are garbage: NaN (strtod happily
-/// accepts "nan"), infinities, |lat| > 90, |lon| > 180. Garbage here would
-/// otherwise propagate into every geodesic distance downstream.
-geo::LatLon checked_latlon(double lat, double lon, const fs::path& file,
-                           std::size_t line) {
-  const geo::LatLon p{lat, lon};
-  if (!geo::is_valid(p)) {
-    fail(file, line, "non-finite or out-of-range coordinates");
-  }
-  return p;
-}
-
 /// Event timestamps must be plausible: non-negative and at most
 /// kMaxEventTime, so the matcher's `t + beta` window arithmetic can never
 /// overflow std::int64_t.
-TimeSec checked_time(TimeSec t, const fs::path& file, std::size_t line) {
-  if (t < 0 || t > kMaxEventTime) {
-    fail(file, line, "timestamp out of range [0, kMaxEventTime]");
-  }
-  return t;
-}
+bool time_ok(TimeSec t) { return t >= 0 && t <= kMaxEventTime; }
 
 /// Rates and variances must be finite and non-negative.
-double checked_nonnegative(double v, const char* what, const fs::path& file,
-                           std::size_t line) {
-  if (!std::isfinite(v) || v < 0.0) {
-    fail(file, line, std::string(what) + " must be finite and non-negative");
-  }
-  return v;
-}
+bool nonnegative(double v) { return std::isfinite(v) && v >= 0.0; }
 
-/// Strips a trailing '\r' so files written on Windows (CRLF line endings)
-/// parse identically to LF files; std::getline only consumes the '\n'.
-void chomp(std::string& line) {
-  if (!line.empty() && line.back() == '\r') line.pop_back();
-}
+// Values that parse but are garbage: NaN, infinities, |lat| > 90 or
+// |lon| > 180 would otherwise propagate into every geodesic distance
+// downstream.
+constexpr const char* kBadCoordinates =
+    "non-finite or out-of-range coordinates";
+constexpr const char* kBadTime = "timestamp out of range [0, kMaxEventTime]";
 
-std::vector<std::string_view> split(std::string_view line) {
-  std::vector<std::string_view> fields;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t comma = line.find(',', start);
-    if (comma == std::string_view::npos) {
-      fields.push_back(line.substr(start));
-      break;
+/// The one row loop. Hands `row` the N fields of every data row of `file`;
+/// `row` returns nullptr or what is wrong with the row. The header line is
+/// skipped, and so are blank lines. A trailing '\r' is stripped, so CRLF
+/// files parse like LF ones.
+template <std::size_t N, typename Row>
+void read_rows(const fs::path& file, Row&& row) {
+  std::ifstream in(file);
+  if (!in) throw IngestError("cannot open for read: " + file.string());
+  std::string line;
+  std::getline(in, line);  // header
+  Fields f;
+  for (std::size_t lineno = 2; std::getline(in, line); ++lineno) {
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+    if (line.empty()) continue;
+    if (split_fields(line, ',', f) != N) {
+      fail(file, lineno, "expected " + std::to_string(N) + " fields");
     }
-    fields.push_back(line.substr(start, comma - start));
-    start = comma + 1;
+    const std::span<const std::string_view, N> fields(f.data(), N);
+    if (const char* bad = row(fields)) fail(file, lineno, bad);
   }
-  return fields;
-}
-
-template <typename T>
-T parse_num(std::string_view s, const fs::path& file, std::size_t line) {
-  T value{};
-  if constexpr (std::is_floating_point_v<T>) {
-    // std::from_chars for doubles is not universally available; strtod via
-    // a bounded copy keeps this portable.
-    char buf[64];
-    if (s.size() >= sizeof(buf)) fail(file, line, "numeric field too long");
-    std::memcpy(buf, s.data(), s.size());
-    buf[s.size()] = '\0';
-    char* end = nullptr;
-    value = static_cast<T>(std::strtod(buf, &end));
-    if (end != buf + s.size()) fail(file, line, "bad floating-point field");
-  } else {
-    const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
-    if (ec != std::errc{} || ptr != s.data() + s.size()) {
-      fail(file, line, "bad integer field");
-    }
-  }
-  return value;
 }
 
 std::ofstream open_out(const fs::path& p) {
   std::ofstream out(p);
   if (!out) throw std::runtime_error("cannot open for write: " + p.string());
   return out;
-}
-
-std::ifstream open_in(const fs::path& p) {
-  std::ifstream in(p);
-  if (!in) throw IngestError("cannot open for read: " + p.string());
-  return in;
 }
 
 }  // namespace
@@ -190,163 +144,99 @@ void write_dataset_csv(const Dataset& ds, const fs::path& dir) {
 }
 
 Dataset read_dataset_csv(const fs::path& dir, const std::string& name) {
-  // POIs.
   std::vector<Poi> pois;
-  {
-    const fs::path file = dir / "pois.csv";
-    auto in = open_in(file);
-    std::string line;
-    std::size_t lineno = 0;
-    std::getline(in, line);  // header
-    ++lineno;
-    while (std::getline(in, line)) {
-      ++lineno;
-      chomp(line);
-      if (line.empty()) continue;
-      const auto f = split(line);
-      if (f.size() != 5) fail(file, lineno, "expected 5 fields");
-      Poi p;
-      p.id = parse_num<PoiId>(f[0], file, lineno);
-      p.name = std::string(f[1]);
-      const auto cat = parse_poi_category(f[2]);
-      if (!cat) fail(file, lineno, "unknown POI category");
-      p.category = *cat;
-      p.location = checked_latlon(parse_num<double>(f[3], file, lineno),
-                                  parse_num<double>(f[4], file, lineno),
-                                  file, lineno);
-      pois.push_back(std::move(p));
-    }
-  }
+  read_rows<5>(dir / "pois.csv", [&](auto f) -> const char* {
+    Poi p;
+    if (!parse_int(f[0], p.id)) return "bad id field";
+    p.name = std::string(f[1]);
+    const auto cat = parse_poi_category(f[2]);
+    if (!cat) return "unknown POI category";
+    p.category = *cat;
+    if (!parse_double(f[3], p.location.lat_deg)) return "bad lat field";
+    if (!parse_double(f[4], p.location.lon_deg)) return "bad lon field";
+    if (!geo::is_valid(p.location)) return kBadCoordinates;
+    pois.push_back(std::move(p));
+    return nullptr;
+  });
 
   // Users, keyed for trace attachment.
   std::map<UserId, UserRecord> users;
-  {
-    const fs::path file = dir / "users.csv";
-    auto in = open_in(file);
-    std::string line;
-    std::size_t lineno = 0;
-    std::getline(in, line);
-    ++lineno;
-    while (std::getline(in, line)) {
-      ++lineno;
-      chomp(line);
-      if (line.empty()) continue;
-      const auto f = split(line);
-      if (f.size() != 5) fail(file, lineno, "expected 5 fields");
-      UserRecord u;
-      u.id = parse_num<UserId>(f[0], file, lineno);
-      u.profile.friends = parse_num<std::uint32_t>(f[1], file, lineno);
-      u.profile.badges = parse_num<std::uint32_t>(f[2], file, lineno);
-      u.profile.mayorships = parse_num<std::uint32_t>(f[3], file, lineno);
-      u.profile.checkins_per_day = checked_nonnegative(
-          parse_num<double>(f[4], file, lineno), "checkins_per_day", file,
-          lineno);
-      const UserId id = u.id;
-      if (!users.emplace(id, std::move(u)).second) {
-        fail(file, lineno, "duplicate user id");
-      }
+  read_rows<5>(dir / "users.csv", [&](auto f) -> const char* {
+    UserRecord u;
+    UserProfile& q = u.profile;
+    if (!parse_int(f[0], u.id)) return "bad id field";
+    if (!parse_int(f[1], q.friends)) return "bad friends field";
+    if (!parse_int(f[2], q.badges)) return "bad badges field";
+    if (!parse_int(f[3], q.mayorships)) return "bad mayorships field";
+    if (!parse_double(f[4], q.checkins_per_day)) {
+      return "bad checkins_per_day field";
     }
-  }
+    if (!nonnegative(q.checkins_per_day)) {
+      return "checkins_per_day must be finite and non-negative";
+    }
+    const UserId id = u.id;
+    if (!users.emplace(id, std::move(u)).second) return "duplicate user id";
+    return nullptr;
+  });
 
-  auto require_user = [&users](UserId id, const fs::path& file,
-                               std::size_t lineno) -> UserRecord& {
+  auto find_user = [&users](UserId id) -> UserRecord* {
     const auto it = users.find(id);
-    if (it == users.end()) fail(file, lineno, "row references unknown user");
-    return it->second;
+    return it == users.end() ? nullptr : &it->second;
   };
+  constexpr const char* kUnknownUser = "row references unknown user";
 
   // GPS points (file is grouped by user, time-ascending per user).
-  {
-    const fs::path file = dir / "gps.csv";
-    auto in = open_in(file);
-    std::string line;
-    std::size_t lineno = 0;
-    std::getline(in, line);
-    ++lineno;
-    while (std::getline(in, line)) {
-      ++lineno;
-      chomp(line);
-      if (line.empty()) continue;
-      const auto f = split(line);
-      if (f.size() != 7) fail(file, lineno, "expected 7 fields");
-      const auto id = parse_num<UserId>(f[0], file, lineno);
-      GpsPoint p;
-      p.t = checked_time(parse_num<TimeSec>(f[1], file, lineno), file, lineno);
-      p.position = checked_latlon(parse_num<double>(f[2], file, lineno),
-                                  parse_num<double>(f[3], file, lineno),
-                                  file, lineno);
-      p.has_fix = parse_num<int>(f[4], file, lineno) != 0;
-      p.wifi_fingerprint = parse_num<std::uint32_t>(f[5], file, lineno);
-      p.accel_variance = checked_nonnegative(
-          parse_num<double>(f[6], file, lineno), "accel_var", file, lineno);
-      UserRecord& u = require_user(id, file, lineno);
-      // Surface GpsTrace's ordering invariant with file:line context.
-      if (!u.gps.points().empty() && p.t < u.gps.points().back().t) {
-        fail(file, lineno, "GPS timestamps out of order for user");
-      }
-      u.gps.append(p);
+  read_rows<kGpsFields>(dir / "gps.csv", [&](auto f) -> const char* {
+    UserId id = 0;
+    GpsPoint p;
+    if (const char* bad = parse_gps_fields(f, id, p)) return bad;
+    if (!time_ok(p.t)) return kBadTime;
+    if (!geo::is_valid(p.position)) return kBadCoordinates;
+    if (!nonnegative(p.accel_variance)) {
+      return "accel_var must be finite and non-negative";
     }
-  }
+    UserRecord* u = find_user(id);
+    if (u == nullptr) return kUnknownUser;
+    // Surface GpsTrace's ordering invariant with file:line context.
+    if (!u->gps.points().empty() && p.t < u->gps.points().back().t) {
+      return "GPS timestamps out of order for user";
+    }
+    u->gps.append(p);
+    return nullptr;
+  });
 
-  // Checkins.
-  {
-    const fs::path file = dir / "checkins.csv";
-    auto in = open_in(file);
-    std::string line;
-    std::size_t lineno = 0;
-    std::getline(in, line);
-    ++lineno;
-    while (std::getline(in, line)) {
-      ++lineno;
-      chomp(line);
-      if (line.empty()) continue;
-      const auto f = split(line);
-      if (f.size() != 6) fail(file, lineno, "expected 6 fields");
-      const auto id = parse_num<UserId>(f[0], file, lineno);
-      Checkin c;
-      c.t = checked_time(parse_num<TimeSec>(f[1], file, lineno), file, lineno);
-      c.poi = parse_num<PoiId>(f[2], file, lineno);
-      const auto cat = parse_poi_category(f[3]);
-      if (!cat) fail(file, lineno, "unknown POI category");
-      c.category = *cat;
-      c.location = checked_latlon(parse_num<double>(f[4], file, lineno),
-                                  parse_num<double>(f[5], file, lineno),
-                                  file, lineno);
-      UserRecord& u = require_user(id, file, lineno);
-      if (!u.checkins.events().empty() && c.t < u.checkins.events().back().t) {
-        fail(file, lineno, "checkin timestamps out of order for user");
-      }
-      u.checkins.append(c);
+  read_rows<kCheckinFields>(dir / "checkins.csv", [&](auto f) -> const char* {
+    UserId id = 0;
+    Checkin c;
+    if (const char* bad = parse_checkin_fields(f, id, c)) return bad;
+    if (!time_ok(c.t)) return kBadTime;
+    if (!geo::is_valid(c.location)) return kBadCoordinates;
+    UserRecord* u = find_user(id);
+    if (u == nullptr) return kUnknownUser;
+    if (!u->checkins.events().empty() && c.t < u->checkins.events().back().t) {
+      return "checkin timestamps out of order for user";
     }
-  }
+    u->checkins.append(c);
+    return nullptr;
+  });
 
-  // Visits.
-  {
-    const fs::path file = dir / "visits.csv";
-    auto in = open_in(file);
-    std::string line;
-    std::size_t lineno = 0;
-    std::getline(in, line);
-    ++lineno;
-    while (std::getline(in, line)) {
-      ++lineno;
-      chomp(line);
-      if (line.empty()) continue;
-      const auto f = split(line);
-      if (f.size() != 6) fail(file, lineno, "expected 6 fields");
-      const auto id = parse_num<UserId>(f[0], file, lineno);
-      Visit v;
-      v.start =
-          checked_time(parse_num<TimeSec>(f[1], file, lineno), file, lineno);
-      v.end = checked_time(parse_num<TimeSec>(f[2], file, lineno), file, lineno);
-      if (v.end < v.start) fail(file, lineno, "visit ends before it starts");
-      v.centroid = checked_latlon(parse_num<double>(f[3], file, lineno),
-                                  parse_num<double>(f[4], file, lineno),
-                                  file, lineno);
-      v.poi = parse_num<PoiId>(f[5], file, lineno);
-      require_user(id, file, lineno).visits.push_back(v);
-    }
-  }
+  read_rows<6>(dir / "visits.csv", [&](auto f) -> const char* {
+    UserId id = 0;
+    Visit v;
+    if (!parse_int(f[0], id)) return "bad user field";
+    if (!parse_int(f[1], v.start)) return "bad start field";
+    if (!parse_int(f[2], v.end)) return "bad end field";
+    if (!parse_double(f[3], v.centroid.lat_deg)) return "bad lat field";
+    if (!parse_double(f[4], v.centroid.lon_deg)) return "bad lon field";
+    if (!parse_int(f[5], v.poi)) return "bad poi field";
+    if (!time_ok(v.start) || !time_ok(v.end)) return kBadTime;
+    if (v.end < v.start) return "visit ends before it starts";
+    if (!geo::is_valid(v.centroid)) return kBadCoordinates;
+    UserRecord* u = find_user(id);
+    if (u == nullptr) return kUnknownUser;
+    u->visits.push_back(v);
+    return nullptr;
+  });
 
   std::vector<UserRecord> user_list;
   user_list.reserve(users.size());

@@ -8,7 +8,9 @@
 //   visits.csv    user,start,end,lat,lon,poi
 //
 // Values never contain commas (POI names are sanitized on write), so no
-// quoting layer is needed.
+// quoting layer is needed. Fields and numbers follow trace/fields.h, and
+// gps.csv / checkins.csv rows go through its parse_gps_fields /
+// parse_checkin_fields, the functions that parse serve's wire records.
 #pragma once
 
 #include <filesystem>

@@ -1,8 +1,5 @@
 #include "trace/gowalla.h"
 
-#include <charconv>
-#include <cstdlib>
-#include <cstring>
 #include <ctime>
 #include <fstream>
 #include <map>
@@ -11,6 +8,7 @@
 
 #include "obs/metrics.h"
 #include "trace/csv.h"  // IngestError
+#include "trace/fields.h"
 
 namespace geovalid::trace {
 namespace {
@@ -40,9 +38,7 @@ std::optional<TimeSec> parse_iso8601(std::string_view s) {
     return std::nullopt;
   }
   auto num = [&](std::size_t pos, std::size_t len, int& out) {
-    const auto [p, ec] =
-        std::from_chars(s.data() + pos, s.data() + pos + len, out);
-    return ec == std::errc{} && p == s.data() + pos + len;
+    return parse_int(s.substr(pos, len), out);
   };
   int year, month, day, hour, minute, second;
   if (!num(0, 4, year) || !num(5, 2, month) || !num(8, 2, day) ||
@@ -58,40 +54,6 @@ std::optional<TimeSec> parse_iso8601(std::string_view s) {
   const std::time_t t = timegm(&tm);
   if (t == static_cast<std::time_t>(-1)) return std::nullopt;
   return static_cast<TimeSec>(t);
-}
-
-std::vector<std::string_view> split_tabs(std::string_view line) {
-  std::vector<std::string_view> fields;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t tab = line.find('\t', start);
-    if (tab == std::string_view::npos) {
-      fields.push_back(line.substr(start));
-      break;
-    }
-    fields.push_back(line.substr(start, tab - start));
-    start = tab + 1;
-  }
-  return fields;
-}
-
-std::optional<double> parse_double(std::string_view s) {
-  char buf[64];
-  if (s.empty() || s.size() >= sizeof(buf)) return std::nullopt;
-  std::memcpy(buf, s.data(), s.size());
-  buf[s.size()] = '\0';
-  char* end = nullptr;
-  const double v = std::strtod(buf, &end);
-  if (end != buf + s.size()) return std::nullopt;
-  return v;
-}
-
-template <typename T>
-std::optional<T> parse_uint(std::string_view s) {
-  T v{};
-  const auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc{} || p != s.data() + s.size()) return std::nullopt;
-  return v;
 }
 
 }  // namespace
@@ -113,13 +75,11 @@ Dataset read_gowalla_checkins(const std::filesystem::path& file,
       {{"format", "snap"}});
 
   std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty()) continue;
+  Fields f;
+  for (std::size_t lineno = 1; std::getline(in, line); ++lineno) {
     if (!line.empty() && line.back() == '\r') line.pop_back();
+    if (line.empty()) continue;
 
-    const auto f = split_tabs(line);
     auto reject = [&](const char* reason, const char* what) -> bool {
       if (options.skip_invalid_rows) {
         count_skipped(reason);
@@ -128,28 +88,27 @@ Dataset read_gowalla_checkins(const std::filesystem::path& file,
       fail(file, lineno, what);
     };
 
-    if (f.size() != 5) {
+    if (split_fields(line, '\t', f) != 5) {
       if (reject("field_count", "expected 5 tab-separated fields")) continue;
     }
-    const auto user = parse_uint<UserId>(f[0]);
+    UserId user = 0;
     const auto t = parse_iso8601(f[1]);
-    const auto lat = parse_double(f[2]);
-    const auto lon = parse_double(f[3]);
-    const auto venue = parse_uint<PoiId>(f[4]);
-    if (!user || !t || !lat || !lon || !venue) {
+    geo::LatLon where;
+    PoiId venue = 0;
+    if (!parse_int(f[0], user) || !t || !parse_double(f[2], where.lat_deg) ||
+        !parse_double(f[3], where.lon_deg) || !parse_int(f[4], venue)) {
       if (reject("malformed_field", "malformed field")) continue;
     }
-    const geo::LatLon where{*lat, *lon};
     if (!geo::is_valid(where)) {
       if (reject("bad_coordinates", "coordinate out of range")) continue;
     }
     if (options.max_users > 0 && per_user.size() >= options.max_users &&
-        per_user.find(*user) == per_user.end()) {
+        per_user.find(user) == per_user.end()) {
       continue;
     }
 
     // SNAP venue ids start at 0; shift by one to keep kNoPoi free.
-    const PoiId poi = *venue + 1;
+    const PoiId poi = venue + 1;
     if (poi == kNoPoi) {
       if (reject("venue_id_sentinel", "venue id collides with the sentinel")) {
         continue;
@@ -168,7 +127,7 @@ Dataset read_gowalla_checkins(const std::filesystem::path& file,
     c.poi = poi;
     c.category = it->second.category;
     c.location = it->second.location;  // first-seen venue position
-    per_user[*user].push_back(c);
+    per_user[user].push_back(c);
     rows_ingested.inc();
   }
 

@@ -181,4 +181,23 @@ TEST(ServeHttp, ResponseShorterThanItsContentLengthThrows) {
             "ok");
 }
 
+TEST(ServeHttp, ResponseWithNonNumericContentLengthThrows) {
+  // Read as 0, "x" would let a cut body past the short-body check above.
+  EXPECT_THROW(serve::parse_http_response(
+                   "HTTP/1.1 200 OK\r\nContent-Length: x\r\n\r\n{\"us",
+                   "junk length"),
+               serve::NetError);
+}
+
+TEST(ServeHttp, ResponseWithNonNumericStatusThrows) {
+  EXPECT_THROW(serve::parse_http_response(
+                   "HTTP/1.1 OK\r\nContent-Length: 2\r\n\r\nok",
+                   "junk status"),
+               serve::NetError);
+  EXPECT_EQ(serve::parse_http_response(
+                "HTTP/1.1 503 Service Unavailable\r\n\r\n", "503")
+                .status,
+            503);
+}
+
 }  // namespace

@@ -156,5 +156,17 @@ TEST_F(GowallaImport, WindowsLineEndingsHandled) {
   EXPECT_EQ(ds.users()[0].checkins.size(), 1u);
 }
 
+TEST_F(GowallaImport, StrictImportSkipsBlankCrlfLine) {
+  // A blank CRLF line is blank once its '\r' is stripped, as with LF.
+  write(
+      "0\t2010-10-19T23:55:27Z\t30.0\t-97.0\t1\r\n"
+      "\r\n"
+      "1\t2010-10-20T23:55:27Z\t31.0\t-97.0\t2\r\n");
+  GowallaImportOptions opts;
+  opts.skip_invalid_rows = false;
+  const Dataset ds = read_gowalla_checkins(file_, "t", opts);
+  EXPECT_EQ(ds.user_count(), 2u);
+}
+
 }  // namespace
 }  // namespace geovalid::trace

@@ -101,9 +101,7 @@
 // failure) the process-wide observability registry is dumped as JSON.
 // docs/OBSERVABILITY.md is the reference for every metric in the dump.
 #include <atomic>
-#include <cerrno>
 #include <csignal>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iomanip>
@@ -130,6 +128,7 @@
 #include "stream/quarantine.h"
 #include "stream/replay.h"
 #include "trace/csv.h"
+#include "trace/fields.h"
 #include "trace/gowalla.h"
 
 namespace {
@@ -209,35 +208,6 @@ int usage() {
   return kExitUsage;
 }
 
-std::optional<double> flag_value(int argc, char** argv, const char* name) {
-  for (int i = 0; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return std::atof(argv[i + 1]);
-  }
-  return std::nullopt;
-}
-
-/// Integer flags (--seed, --max-users, --shards) must not go through
-/// std::atof: doubles silently lose precision above 2^53, which corrupts
-/// large 64-bit seeds. Parses the full argument as an unsigned integer and
-/// rejects trailing junk.
-std::optional<std::uint64_t> int_flag_value(int argc, char** argv,
-                                            const char* name) {
-  for (int i = 0; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) != 0) continue;
-    const char* arg = argv[i + 1];
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(arg, &end, 10);
-    if (errno != 0 || end == arg || *end != '\0') {
-      throw std::runtime_error(std::string(name) +
-                               " expects a non-negative integer, got '" +
-                               arg + "'");
-    }
-    return static_cast<std::uint64_t>(v);
-  }
-  return std::nullopt;
-}
-
 bool has_flag(int argc, char** argv, const char* name) {
   for (int i = 0; i < argc; ++i) {
     if (std::strcmp(argv[i], name) == 0) return true;
@@ -259,73 +229,66 @@ struct UsageError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// --threads N (0 = all hardware threads). Every subcommand accepts and
-/// validates it, even the ones with no parallel stage. strtoull alone is
-/// not enough: it silently wraps "-1" to a huge value, so a leading '-'
-/// is rejected explicitly. Values past core::kMaxThreads are a usage error
-/// too — std::thread would fail with std::system_error long before a
-/// million threads spawn, and that must not escape as an uncaught
-/// exception.
-std::size_t threads_flag(int argc, char** argv) {
-  const auto raw = string_flag_value(argc, argv, "--threads");
-  if (!raw) return 1;
-  const char* arg = raw->c_str();
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(arg, &end, 10);
-  if (raw->empty() || raw->front() == '-' || errno != 0 || end == arg ||
-      *end != '\0') {
-    throw UsageError("--threads must be a non-negative integer, got '" +
-                     *raw + "'");
-  }
-  if (v > core::kMaxThreads) {
-    throw UsageError("--threads must be at most " +
-                     std::to_string(core::kMaxThreads) + ", got '" + *raw +
-                     "'");
-  }
-  return static_cast<std::size_t>(v);
+[[noreturn]] void bad_flag(const char* name, const char* must,
+                           const std::string& raw) {
+  throw UsageError(std::string(name) + " must be " + must + ", got '" + raw +
+                   "'");
 }
 
-/// --reactors N for `serve` (0 = all hardware threads): event-loop threads
-/// in front of the engine. Validated exactly like --threads — negatives,
-/// junk and values past core::kMaxThreads are usage errors, never silent
-/// fallbacks or uncaught std::system_error.
-std::size_t reactors_flag(int argc, char** argv) {
-  const auto raw = string_flag_value(argc, argv, "--reactors");
-  if (!raw) return 1;
-  const char* arg = raw->c_str();
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(arg, &end, 10);
-  if (raw->empty() || raw->front() == '-' || errno != 0 || end == arg ||
-      *end != '\0') {
-    throw UsageError("--reactors must be a non-negative integer, got '" +
-                     *raw + "'");
+// Number flags: absent is nullopt, and a present value must parse whole by
+// trace/fields.h's grammar (no junk that reads as 0, no leading '+' or
+// '-' on an unsigned) or it is a usage error naming the flag and value.
+
+std::optional<double> flag_value(int argc, char** argv, const char* name) {
+  const auto raw = string_flag_value(argc, argv, name);
+  double v = 0.0;
+  if (raw && !trace::parse_double(*raw, v)) bad_flag(name, "a number", *raw);
+  return raw ? std::optional(v) : std::nullopt;
+}
+
+/// Integer flags (--seed, --max-users, --shards) never pass through a
+/// double, which loses precision above 2^53 and would corrupt large 64-bit
+/// seeds.
+std::optional<std::uint64_t> int_flag_value(int argc, char** argv,
+                                            const char* name) {
+  const auto raw = string_flag_value(argc, argv, name);
+  std::uint64_t v = 0;
+  if (raw && !trace::parse_int(*raw, v)) {
+    bad_flag(name, "a non-negative integer", *raw);
   }
-  if (v > core::kMaxThreads) {
-    throw UsageError("--reactors must be at most " +
-                     std::to_string(core::kMaxThreads) + ", got '" + *raw +
-                     "'");
-  }
-  return static_cast<std::size_t>(v);
+  return raw ? std::optional(v) : std::nullopt;
 }
 
 /// Flags like --rate and --snapshot-interval: present means a positive
-/// finite number, anything else (0, negatives, junk that atof maps to 0)
-/// is a usage error instead of a silently-unthrottled or spinning replay.
+/// number, anything else is a usage error instead of a silently
+/// unthrottled or spinning replay.
 std::optional<double> positive_flag_value(int argc, char** argv,
                                           const char* name) {
-  const auto v = flag_value(argc, argv, name);
-  if (v && !(*v > 0.0)) {
-    throw UsageError(std::string(name) + " must be positive, got '" +
-                     *string_flag_value(argc, argv, name) + "'");
+  const auto raw = string_flag_value(argc, argv, name);
+  double v = 0.0;
+  if (raw && !(trace::parse_double(*raw, v) && v > 0.0)) {
+    bad_flag(name, "positive", *raw);
   }
-  return v;
+  return raw ? std::optional(v) : std::nullopt;
+}
+
+/// --threads and --reactors N (0 = all hardware threads; absent = 1).
+/// Every subcommand accepts and validates --threads, even the ones with no
+/// parallel stage. Values past core::kMaxThreads are a usage error too:
+/// std::thread would fail with std::system_error long before a million
+/// threads spawn, and that must not escape as an uncaught exception.
+std::size_t count_flag(int argc, char** argv, const char* name) {
+  const auto v = int_flag_value(argc, argv, name);
+  if (v && *v > core::kMaxThreads) {
+    bad_flag(name, ("at most " + std::to_string(core::kMaxThreads)).c_str(),
+             std::to_string(*v));
+  }
+  return v ? static_cast<std::size_t>(*v) : 1;
 }
 
 int cmd_generate(int argc, char** argv) {
   if (argc < 2) return usage();
-  (void)threads_flag(argc, argv);  // accepted everywhere; no parallel stage
+  (void)count_flag(argc, argv, "--threads");  // no parallel stage
   const std::string preset = argv[0];
   const std::filesystem::path dir = argv[1];
 
@@ -355,7 +318,7 @@ int cmd_generate(int argc, char** argv) {
 
 int cmd_validate(int argc, char** argv) {
   if (argc < 1) return usage();
-  const std::size_t threads = threads_flag(argc, argv);
+  const std::size_t threads = count_flag(argc, argv, "--threads");
   const std::filesystem::path dir = argv[0];
 
   match::MatchConfig cfg;
@@ -400,7 +363,7 @@ int cmd_validate(int argc, char** argv) {
 
 int cmd_repair(int argc, char** argv) {
   if (argc < 2) return usage();
-  (void)threads_flag(argc, argv);  // accepted everywhere; no parallel stage
+  (void)count_flag(argc, argv, "--threads");  // no parallel stage
   const std::filesystem::path dir = argv[0];
   const std::filesystem::path out_path = argv[1];
 
@@ -453,7 +416,7 @@ int cmd_repair(int argc, char** argv) {
 
 int cmd_import_snap(int argc, char** argv) {
   if (argc < 2) return usage();
-  (void)threads_flag(argc, argv);  // accepted everywhere; no parallel stage
+  (void)count_flag(argc, argv, "--threads");  // no parallel stage
   const std::filesystem::path file = argv[0];
   const std::filesystem::path dir = argv[1];
 
@@ -473,7 +436,7 @@ int cmd_import_snap(int argc, char** argv) {
 
 int cmd_stream(int argc, char** argv) {
   if (argc < 1) return usage();
-  const std::size_t threads = threads_flag(argc, argv);
+  const std::size_t threads = count_flag(argc, argv, "--threads");
   const std::filesystem::path dir = argv[0];
 
   stream::StreamEngineConfig engine_cfg;
@@ -659,7 +622,7 @@ int cmd_stream(int argc, char** argv) {
 
 int cmd_train(int argc, char** argv) {
   if (argc < 2) return usage();
-  const std::size_t threads = threads_flag(argc, argv);
+  const std::size_t threads = count_flag(argc, argv, "--threads");
   const std::filesystem::path dir = argv[0];
   const std::filesystem::path out_path = argv[1];
 
@@ -691,11 +654,11 @@ int cmd_train(int argc, char** argv) {
 }
 
 int cmd_serve(int argc, char** argv) {
-  (void)threads_flag(argc, argv);  // accepted everywhere; shards and
-                                   // reactors control serve parallelism
+  // Accepted everywhere; shards and reactors control serve parallelism.
+  (void)count_flag(argc, argv, "--threads");
 
   serve::ServeConfig cfg;
-  cfg.reactors = reactors_flag(argc, argv);
+  cfg.reactors = count_flag(argc, argv, "--reactors");
   if (const auto host = string_flag_value(argc, argv, "--host")) {
     cfg.host = *host;
   }
@@ -827,28 +790,20 @@ cluster::BackendAddr parse_backend_spec(std::string spec,
     }
     spec = spec.substr(eq + 1);
   }
-  std::vector<std::string> parts;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t colon = spec.find(':', start);
-    parts.push_back(spec.substr(start, colon - start));
-    if (colon == std::string::npos) break;
-    start = colon + 1;
-  }
-  const auto parse_port = [&](const std::string& text) -> std::uint16_t {
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long v = std::strtoul(text.c_str(), &end, 10);
-    if (text.empty() || errno != 0 || end != text.c_str() + text.size() ||
-        v == 0 || v > 65535) {
-      throw UsageError("--backend: bad port '" + text + "' in spec");
+  trace::Fields parts;
+  const std::size_t n = trace::split_fields(spec, ':', parts);
+  const auto parse_port = [&](std::string_view text) -> std::uint16_t {
+    std::uint16_t port = 0;
+    if (!trace::parse_int(text, port) || port == 0) {
+      throw UsageError("--backend: bad port '" + std::string(text) +
+                       "' in spec");
     }
-    return static_cast<std::uint16_t>(v);
+    return port;
   };
-  if (parts.size() == 2) {
+  if (n == 2) {
     addr.ingest_port = parse_port(parts[0]);
     addr.http_port = parse_port(parts[1]);
-  } else if (parts.size() == 3) {
+  } else if (n == 3) {
     if (parts[0].empty()) {
       throw UsageError("--backend: empty host in spec");
     }
@@ -864,7 +819,7 @@ cluster::BackendAddr parse_backend_spec(std::string spec,
 }
 
 int cmd_route(int argc, char** argv) {
-  (void)threads_flag(argc, argv);  // accepted everywhere; single-threaded
+  (void)count_flag(argc, argv, "--threads");  // single-threaded
 
   cluster::RouteConfig cfg;
   if (const auto host = string_flag_value(argc, argv, "--host")) {
@@ -905,12 +860,10 @@ int cmd_route(int argc, char** argv) {
     if (*spool == 0) throw UsageError("--spool-bytes must be positive");
     cfg.spool_bytes = static_cast<std::size_t>(*spool);
   }
-  if (const auto s = flag_value(argc, argv, "--probe-interval")) {
-    if (*s <= 0) throw UsageError("--probe-interval must be positive");
+  if (const auto s = positive_flag_value(argc, argv, "--probe-interval")) {
     cfg.probe_interval_s = *s;
   }
-  if (const auto s = flag_value(argc, argv, "--probe-timeout")) {
-    if (*s <= 0) throw UsageError("--probe-timeout must be positive");
+  if (const auto s = positive_flag_value(argc, argv, "--probe-timeout")) {
     cfg.probe_timeout_s = *s;
   }
   if (const auto n = int_flag_value(argc, argv, "--probe-down-after")) {
@@ -930,8 +883,7 @@ int cmd_route(int argc, char** argv) {
     }
     cfg.reconnect_backoff_cap_ms = static_cast<std::uint32_t>(*ms);
   }
-  if (const auto s = flag_value(argc, argv, "--fanout-deadline-s")) {
-    if (*s <= 0) throw UsageError("--fanout-deadline-s must be positive");
+  if (const auto s = positive_flag_value(argc, argv, "--fanout-deadline-s")) {
     cfg.fanout_deadline_s = *s;
   }
   if (const auto spec =

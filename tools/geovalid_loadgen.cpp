@@ -41,7 +41,6 @@
 // Exit codes: 0 success, 1 runtime failure (daemon unreachable, replay
 // connections dropped, or a failed control-plane probe — all waived
 // under --route), 2 usage error.
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <optional>
@@ -52,6 +51,7 @@
 #include "serve/net.h"
 #include "stream/replay.h"
 #include "trace/csv.h"
+#include "trace/fields.h"
 
 namespace {
 
@@ -85,17 +85,13 @@ std::optional<std::string> string_flag_value(int argc, char** argv,
 std::optional<std::uint64_t> int_flag_value(int argc, char** argv,
                                             const char* name) {
   const auto raw = string_flag_value(argc, argv, name);
-  if (!raw) return std::nullopt;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(raw->c_str(), &end, 10);
-  if (raw->empty() || raw->front() == '-' || errno != 0 ||
-      end != raw->c_str() + raw->size()) {
+  std::uint64_t v = 0;
+  if (raw && !trace::parse_int(*raw, v)) {
     throw std::runtime_error(std::string(name) +
-                             " expects a non-negative integer, got '" +
+                             " must be a non-negative integer, got '" +
                              *raw + "'");
   }
-  return static_cast<std::uint64_t>(v);
+  return raw ? std::optional(v) : std::nullopt;
 }
 
 }  // namespace
@@ -131,9 +127,10 @@ int main(int argc, char** argv) {
       cfg.connections = static_cast<std::size_t>(*conns);
     }
     if (const auto rate = string_flag_value(argc - 2, argv + 2, "--rate")) {
-      cfg.rate_events_per_sec = std::atof(rate->c_str());
-      if (!(cfg.rate_events_per_sec > 0.0)) {
-        std::cerr << "error: --rate must be positive\n";
+      if (!trace::parse_double(*rate, cfg.rate_events_per_sec) ||
+          !(cfg.rate_events_per_sec > 0.0)) {
+        std::cerr << "error: --rate must be positive, got '" << *rate
+                  << "'\n";
         return usage();
       }
     }
