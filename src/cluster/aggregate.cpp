@@ -1,14 +1,13 @@
 #include "cluster/aggregate.h"
 
 #include <cctype>
-#include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <map>
 #include <stdexcept>
 #include <unordered_map>
 
 #include "serve/wire.h"
+#include "trace/fields.h"
 
 namespace geovalid::cluster {
 namespace {
@@ -92,9 +91,11 @@ void parse_exposition(std::string_view text, FamilyMap& families) {
     }
     if (value_at == std::string_view::npos) continue;
     const std::string key(trim(line.substr(0, value_at)));
-    const std::string value_str(trim(line.substr(value_at + 1)));
-    if (key.empty() || value_str.empty()) continue;
-    const double value = std::strtod(value_str.c_str(), nullptr);
+    double value = 0.0;
+    if (key.empty() ||
+        !trace::parse_double(trim(line.substr(value_at + 1)), value)) {
+      continue;
+    }
 
     // Attribute to the family announced by the last # TYPE header; a
     // headerless sample (not produced by our exporter) becomes its own
@@ -237,11 +238,14 @@ class JsonScanner {
         ++pos_;
       }
     } else {
-      const char* begin = text_.data() + pos_;
-      char* end = nullptr;
-      const double v = std::strtod(begin, &end);
-      if (end == begin) fail("expected a value");
-      pos_ += static_cast<std::size_t>(end - begin);
+      // The token runs to the first byte that cannot continue a number.
+      std::size_t end = text_.find_first_not_of("+-.0123456789eE", pos_);
+      if (end == std::string_view::npos) end = text_.size();
+      double v = 0.0;
+      if (!trace::parse_double(text_.substr(pos_, end - pos_), v)) {
+        fail("expected a value");
+      }
+      pos_ = end;
       out_.emplace_back(path, v);
     }
   }

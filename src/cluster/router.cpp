@@ -47,14 +47,6 @@ int to_ms(double seconds) {
   return std::max(1, static_cast<int>(seconds * 1000.0));
 }
 
-/// Advances `counter` to a forwarder's running `total`; `seen` is the
-/// reconcile watermark.
-void sync_counter(obs::Counter& counter, std::uint64_t total,
-                  std::uint64_t& seen) {
-  if (total > seen) counter.inc(total - seen);
-  seen = total;
-}
-
 /// Routing key: verb + user id, the first two wire fields. Everything
 /// after the second comma is the backend's business — this is the only
 /// parsing the router does per record.
@@ -951,12 +943,12 @@ void Router::update_backend_gauges() {
         static_cast<std::int64_t>(f.spool_records()));
     metrics_->spool_age[i]->set(
         static_cast<std::int64_t>(f.spool_age_seconds(now)));
-    sync_counter(*metrics_->fwd_dropped[i], f.dropped,
-                 metrics_->dropped_seen[i]);
-    sync_counter(*metrics_->superseded[i], f.superseded,
-                 metrics_->superseded_seen[i]);
-    sync_counter(*metrics_->reconnects[i], f.reconnects,
-                 metrics_->reconnects_seen[i]);
+    obs::sync_counter(*metrics_->fwd_dropped[i], f.dropped,
+                      metrics_->dropped_seen[i]);
+    obs::sync_counter(*metrics_->superseded[i], f.superseded,
+                      metrics_->superseded_seen[i]);
+    obs::sync_counter(*metrics_->reconnects[i], f.reconnects,
+                      metrics_->reconnects_seen[i]);
   }
   stats_.records_dropped = dropped_total;
   stats_.records_superseded = superseded_total;

@@ -34,7 +34,8 @@
 // that points a ring name at a replacement process.
 //
 // Exactly-once across rebalance: the router keeps one CoverageLedger
-// (serve/coverage.h) — the per-user accounting serve's resume uses.
+// (stream/coverage.h) — the per-user accounting each serve engine shard
+// keeps for resume.
 // Replacing a backend starts a new *epoch*: clients re-send their full
 // traces, the router silently skips each healthy user's already-applied
 // prefix, and the replacement process's own checkpoint-resume skip
@@ -68,8 +69,8 @@
 #include "cluster/forwarder.h"
 #include "cluster/ring.h"
 #include "serve/conn.h"
-#include "serve/coverage.h"
 #include "serve/wire.h"
+#include "stream/coverage.h"
 #include "stream/quarantine.h"
 
 namespace geovalid::cluster {
@@ -279,7 +280,7 @@ class Router final : private serve::ConnSink {
   bool paused_ = false;  ///< backpressure: ingest reads suspended
 
   /// Per-user epoch accounting (see the header comment).
-  serve::CoverageLedger ledger_;
+  stream::CoverageLedger ledger_;
 
   /// Reused per-frame partition scratch: one event bucket per backend
   /// (ring order) plus the re-encode buffer — no allocation per frame

@@ -55,6 +55,14 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
+/// Advances `counter` to a running `total` kept elsewhere; `seen` is the
+/// caller's watermark, the part of `total` the counter already holds.
+inline void sync_counter(Counter& counter, std::uint64_t total,
+                         std::uint64_t& seen) {
+  if (total > seen) counter.inc(total - seen);
+  seen = total;
+}
+
 /// Instantaneous signed level (queue depth, active workers).
 class Gauge {
  public:

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
@@ -34,14 +35,6 @@ std::uint64_t ns_since(Clock::time_point start) {
                       Clock::now() - start)
                       .count();
   return ns > 0 ? static_cast<std::uint64_t>(ns) : 0;
-}
-
-/// Coverage stripe of `user`, one of 64: the splitmix64 multiplier the
-/// engine shards with; the top bits keep sequential ids from piling onto
-/// one stripe.
-std::size_t stripe_of(trace::UserId user) {
-  return static_cast<std::size_t>(
-      (static_cast<std::uint64_t>(user) * 0x9E3779B97F4A7C15ULL) >> 58);
 }
 
 std::string drained_json(std::uint64_t cursor) {
@@ -98,6 +91,9 @@ struct Server::Metrics {
   obs::Counter* records_applied = nullptr;
   obs::Counter* records_replayed = nullptr;
   obs::Counter* records_malformed = nullptr;
+  /// The engine counts already in records_applied / records_replayed.
+  std::uint64_t applied_seen = 0;
+  std::uint64_t replayed_seen = 0;
   obs::Gauge* ingest_lag = nullptr;
   obs::Counter* accept_backpressure = nullptr;
   obs::Counter* wire_frames = nullptr;       ///< serve_wire_frames_total
@@ -182,9 +178,6 @@ struct Server::Reactor final : ConnSink {
   std::vector<Fd> inbox;  ///< dealt by reactor 0, not yet adopted
   /// Open ingest connections dealt here, inbox ones included.
   std::atomic<std::size_t> ingest_conns{0};
-  /// Reusable scratch: the non-replayed slice of a line or frame, handed
-  /// to the engine in one stage_batch call.
-  std::vector<stream::Event> fresh;
 
   obs::Counter* m_events = nullptr;       ///< serve_reactor_events_total
   obs::Counter* m_stalls = nullptr;       ///< serve_reactor_stalls_total
@@ -243,9 +236,9 @@ void Server::register_metrics() {
         &r.counter("serve_bytes_written_total", kWriteHelp, kind);
   }
   static constexpr std::string_view kRecordHelp =
-      "Ingest records, by outcome: applied to the engine, replayed "
-      "(checkpoint-covered prefix after a resume), malformed "
-      "(dead-lettered)";
+      "Ingest records, by outcome: applied (processed by the engine, "
+      "quarantined there included), replayed (checkpoint-covered prefix "
+      "after a resume), malformed (dead-lettered)";
   m.records_applied = &r.counter("serve_ingest_records_total", kRecordHelp,
                                  {{"result", "applied"}});
   m.records_replayed = &r.counter("serve_ingest_records_total", kRecordHelp,
@@ -328,14 +321,10 @@ void Server::start() {
 void Server::restore_from_checkpoint() {
   const auto restored = stream::restore_latest(config_.checkpoint_dir);
   if (!restored) return;
-  // Serve payload: per-user accepted-record coverage, then the engine
+  // Serve payload: per-user received-record coverage, then the engine
   // payload as an opaque blob.
   stream::SnapshotReader r(restored->payload);
-  for (const auto& [user, covered] : CoverageLedger::read(r)) {
-    CoverageStripe& stripe = coverage_[stripe_of(user)];
-    std::lock_guard<std::mutex> lock(stripe.mu);
-    stripe.ledger.set_prefix(user, covered);
-  }
+  engine_->restore_coverage(stream::CoverageLedger::read(r));
   const std::string engine_payload = r.blob();
   if (!r.exhausted()) {
     throw stream::SnapshotError(
@@ -362,36 +351,21 @@ bool Server::deal(Fd& socket) {
   return true;
 }
 
-bool Server::arrive_covered(trace::UserId user) {
-  CoverageStripe& s = coverage_[stripe_of(user)];
-  std::lock_guard<std::mutex> lock(s.mu);
-  return s.ledger.arrive(user);
-}
-
 std::filesystem::path Server::write_checkpoint_now() {
   // Coverage per user: everything arrived this lifetime, or restored from
   // the previous one — whichever is further (a user may not have re-sent
-  // its full prefix yet when a checkpoint fires mid-replay). The stripe
-  // locks make the snapshot consistent against record arrivals, though
-  // run_quiesced has already parked every other reactor anyway.
-  Coverage coverage;
-  for (CoverageStripe& stripe : coverage_) {
-    std::lock_guard<std::mutex> lock(stripe.mu);
-    stripe.ledger.collect(coverage);
-  }
+  // its full prefix yet when a checkpoint fires mid-replay).
   stream::SnapshotWriter w;
-  CoverageLedger::write(w, std::move(coverage));
-  w.blob(engine_->save_state());  // drains; quarantine flushed with it
-  const std::uint64_t applied =
-      records_applied_.load(std::memory_order_relaxed);
+  stream::CoverageLedger::write(w, engine_->coverage());  // drains
+  w.blob(engine_->save_state());  // quarantine flushed with the drain
   std::filesystem::path path = stream::write_checkpoint(
-      config_.checkpoint_dir, {restored_cursor_ + applied, w.take()});
-  applied_at_checkpoint_ = applied;
+      config_.checkpoint_dir, {cursor(), w.take()});
+  parsed_at_checkpoint_ = records_parsed_.load(std::memory_order_relaxed);
   return path;
 }
 
 std::uint64_t Server::cursor() const {
-  return restored_cursor_ + records_applied_.load(std::memory_order_relaxed);
+  return restored_cursor_ + engine_->events_processed();
 }
 
 void Server::count_malformed() {
@@ -404,30 +378,13 @@ void Server::apply(Reactor& r, std::span<const stream::Event> events) {
   const std::uint64_t parsed =
       records_parsed_.fetch_add(count, std::memory_order_relaxed) + count;
   if (r.m_events != nullptr) r.m_events->inc(count);
-
-  // Coverage first, record by record (the exactly-once replay skip is
-  // per-user, per-record): a checkpoint-covered prefix re-sent after a
-  // resume is already in the engine state, and skipping it here is what
-  // turns the clients' at-least-once redelivery into exactly-once
-  // application.
-  r.fresh.clear();
-  for (const stream::Event& e : events) {
-    if (!arrive_covered(e.user)) r.fresh.push_back(e);
-  }
-  const std::uint64_t applied = r.fresh.size();
-  if (applied < count) {
-    records_replayed_.fetch_add(count - applied, std::memory_order_relaxed);
-    if (metrics_) metrics_->records_replayed->inc(count - applied);
-  }
-  if (applied > 0) {
-    // One handoff for the survivors. stage_batch may block on engine
-    // backpressure — that is the design: TCP receive buffers fill and the
-    // feed slows to what the shards sustain.
-    routed_.fetch_add(r.producer.stage_batch(r.fresh),
-                      std::memory_order_relaxed);
-    records_applied_.fetch_add(applied, std::memory_order_relaxed);
-    if (metrics_) metrics_->records_applied->inc(applied);
-  }
+  // One handoff. The shard that owns each record's user decides it: it
+  // skips a checkpoint-covered prefix re-sent after a resume (what turns
+  // the clients' at-least-once redelivery into exactly-once application),
+  // quarantines a bad payload or order, and applies the rest. stage_batch
+  // may block on engine backpressure — that is the design: TCP receive
+  // buffers fill and the feed slows to what the shards sustain.
+  r.producer.stage_batch(events);
   if (config_.crash_after_records != 0 &&
       parsed >= config_.crash_after_records) {
     crash_pending_.store(true, std::memory_order_relaxed);
@@ -480,7 +437,7 @@ HttpReply Server::route_request(Reactor& r, const HttpRequest& req) {
       return reply;
     }
     case Route::kMetrics:
-      update_lag_gauge();
+      sync_ingest_metrics();
       return {m.route, 200, obs::to_prometheus(obs::registry()),
               std::string(obs::kPrometheusContentType)};
     case Route::kSummary: {
@@ -603,12 +560,12 @@ bool Server::run_quiesced(Reactor& r0, const std::function<void()>& op) {
   r0.producer.flush();
   if (crash_pending_.load(std::memory_order_relaxed)) {
     // A reactor took the simulated SIGKILL while we gathered the
-    // rendezvous: it exited without flushing, so the arrived-coverage
-    // table now overstates what the engine holds. Running the operation
-    // (a checkpoint, a finalize, a query drain) would persist or serve
-    // that inconsistent view — bail out and let the crash teardown run.
-    // (The running_others_ decrement happens under gate_mu_ after the
-    // crash flag is set, so the wait above cannot miss this store.)
+    // rendezvous and exited without flushing. A real SIGKILL would let
+    // nothing more out: running the operation (a checkpoint, a finalize,
+    // a query drain) would persist or serve what the killed process never
+    // could — bail out and let the crash teardown run. (The
+    // running_others_ decrement happens under gate_mu_ after the crash
+    // flag is set, so the wait above cannot miss this store.)
     release_gate();
     return false;
   }
@@ -632,12 +589,17 @@ void Server::release_gate() {
   gate_cv_.notify_all();
 }
 
-void Server::update_lag_gauge() {
+void Server::sync_ingest_metrics() {
   if (!metrics_) return;
-  const std::uint64_t routed = routed_.load(std::memory_order_relaxed);
-  const std::uint64_t processed = engine_->events_processed();
-  metrics_->ingest_lag->set(static_cast<std::int64_t>(
-      routed > processed ? routed - processed : 0));
+  Metrics& m = *metrics_;
+  const std::uint64_t applied = engine_->events_processed();
+  const std::uint64_t replayed = engine_->events_replayed();
+  obs::sync_counter(*m.records_applied, applied, m.applied_seen);
+  obs::sync_counter(*m.records_replayed, replayed, m.replayed_seen);
+  // In flight: parsed, but not yet decided by a shard.
+  const std::uint64_t parsed = records_parsed_.load(std::memory_order_relaxed);
+  m.ingest_lag->set(static_cast<std::int64_t>(
+      parsed > applied + replayed ? parsed - applied - replayed : 0));
 }
 
 std::string Server::summary_json() {
@@ -796,13 +758,13 @@ void Server::reactor_loop(Reactor& r, const std::atomic<bool>* stop,
 
     if (leader && !config_.checkpoint_dir.empty() &&
         config_.checkpoint_interval_records != 0 &&
-        records_applied_.load(std::memory_order_relaxed) -
-                applied_at_checkpoint_ >=
+        records_parsed_.load(std::memory_order_relaxed) -
+                parsed_at_checkpoint_ >=
             config_.checkpoint_interval_records) {
       run_quiesced(r, [&] { write_checkpoint_now(); });
     }
 
-    if (leader) update_lag_gauge();
+    if (leader) sync_ingest_metrics();
 
     // Mirror producer stalls into the per-reactor counter and sample the
     // iteration's service time (poll wait excluded).
@@ -897,10 +859,10 @@ ServeStats Server::run(const std::atomic<bool>* stop) {
     if (!config_.checkpoint_dir.empty()) write_checkpoint_now();
     stats_.exit = stopped ? ServeExit::kStopped : ServeExit::kDrained;
   }
+  sync_ingest_metrics();
   stats_.records_parsed = records_parsed_.load(std::memory_order_relaxed);
-  stats_.records_applied = records_applied_.load(std::memory_order_relaxed);
-  stats_.records_replayed =
-      records_replayed_.load(std::memory_order_relaxed);
+  stats_.records_applied = engine_->events_processed();
+  stats_.records_replayed = engine_->events_replayed();
   stats_.records_malformed =
       records_malformed_.load(std::memory_order_relaxed);
   stats_.cursor = cursor();

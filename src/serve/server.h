@@ -13,9 +13,11 @@
 //   - Each reactor feeds the engine through its own
 //     stream::StreamEngine::Producer handle: private per-shard staging,
 //     handoff under the owning shard's mailbox mutex only. There is no
-//     engine-global lock anywhere on the ingest path. A text line and a
-//     binary frame take one path to it (Server::apply): coverage skip,
-//     accounting, then one Producer::stage_batch call.
+//     engine-global lock anywhere on the ingest path, and no lock per
+//     record. A text line and a binary frame take one path to it
+//     (Server::apply): the parsed count, then one Producer::stage_batch
+//     call. The engine shard that owns a record's user decides it: replay
+//     skip, payload check, order check, then the pipeline.
 //   - The HTTP control plane is pinned to reactor 0: /healthz, /readyz
 //     (503 while draining — the router's backend health hook), /metrics
 //     (Prometheus text format), /v1/summary, /v1/users/{id}/verdicts,
@@ -40,17 +42,16 @@
 // backpressure: the kernel backlog, then the clients, absorb the wait).
 //
 // Resume contract: a checkpoint stores, besides the engine payload, the
-// per-user count of records the server had accepted (the CoverageLedger
-// snapshot, serve/coverage.h). After a restart with `resume`, clients
-// re-send their traces from the beginning and the server silently skips
-// each user's already-covered prefix — at-least-once delivery in,
+// per-user count of records the engine's shards had received (their
+// CoverageLedgers, stream/coverage.h). After a restart with `resume`,
+// clients re-send their traces from the beginning and each user's shard
+// silently skips the already-covered prefix — at-least-once delivery in,
 // exactly-once application out, so a kill + restart serves
 // verdicts byte-identical to an uninterrupted run. Drain quiesces every
 // reactor before the engine checkpoint, and the exit contract (stop flag →
 // checkpoint → ServeExit::kStopped) is reactor-count independent.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -66,7 +67,6 @@
 
 #include "score/model.h"
 #include "serve/conn.h"
-#include "serve/coverage.h"
 #include "serve/wire.h"
 #include "stream/engine.h"
 #include "stream/quarantine.h"
@@ -87,8 +87,8 @@ struct ServeConfig : ConnConfig {
 
   /// Checkpoint directory; empty disables checkpointing entirely.
   std::filesystem::path checkpoint_dir;
-  /// Periodic checkpoint every this many applied records (0 = only on
-  /// graceful stop / drain / POST /admin/checkpoint).
+  /// Periodic checkpoint every this many received records, replays
+  /// included (0 = only on graceful stop / drain / POST /admin/checkpoint).
   std::uint64_t checkpoint_interval_records = 100000;
   /// Restore the newest valid checkpoint in checkpoint_dir on start().
   bool resume = false;
@@ -117,7 +117,7 @@ enum class ServeExit : std::uint8_t {
 struct ServeStats {
   ServeExit exit = ServeExit::kStopped;
   std::uint64_t records_parsed = 0;     ///< well-formed wire records seen
-  std::uint64_t records_applied = 0;    ///< fed to the engine
+  std::uint64_t records_applied = 0;    ///< applied or quarantined by a shard
   std::uint64_t records_replayed = 0;   ///< skipped as checkpoint-covered
   std::uint64_t records_malformed = 0;  ///< dead-lettered wire lines
   std::uint64_t http_requests = 0;
@@ -174,14 +174,6 @@ class Server {
   struct Reactor;
   struct Metrics;
 
-  /// Striped per-user coverage: reactors take one stripe mutex per record,
-  /// checkpoints collect every stripe.
-  struct CoverageStripe {
-    std::mutex mu;
-    CoverageLedger ledger;
-  };
-  static constexpr std::size_t kCoverageStripes = 64;
-
   void register_metrics();
   void restore_from_checkpoint();
   /// Requires every other reactor parked (run_quiesced) — the engine
@@ -194,14 +186,14 @@ class Server {
   /// inbox (true).
   bool deal(Fd& socket);
   /// The one ingest path, for a text line (a one-event span) and a binary
-  /// frame alike: parsed count, per-record coverage skip, accounting, one
-  /// Producer::stage_batch handoff for the survivors, the crash hook.
+  /// frame alike: parsed count, one Producer::stage_batch handoff, the
+  /// crash hook.
   void apply(Reactor& r, std::span<const stream::Event> events);
   /// One rejected binary frame: counted under the typed reason and
   /// dead-lettered (hex-prefix detail) as `malformed_frame`.
   void process_frame_error(const FrameError& error);
   void count_malformed();
-  /// Records covered by the engine state: restored plus applied.
+  /// Records covered by the engine state: restored plus processed.
   [[nodiscard]] std::uint64_t cursor() const;
   HttpReply route_request(Reactor& r, const HttpRequest& req);
   /// Non-zero reactors call this at their loop top: when the pause gate is
@@ -211,16 +203,13 @@ class Server {
   /// until every live non-zero reactor is parked, flush reactor 0's own
   /// producer, run `op` against the quiesced (single-producer) engine,
   /// release the gate. A no-op rendezvous with one reactor. Returns false
-  /// without running `op` when the crash hook fired during the rendezvous
-  /// — a crashing reactor drops its staged events, so the engine view is
-  /// no longer consistent with the coverage table and must not be
-  /// persisted or served.
+  /// without running `op` when the crash hook fired during the rendezvous:
+  /// after a SIGKILL nothing is persisted or served.
   bool run_quiesced(Reactor& r0, const std::function<void()>& op);
   void release_gate();
-  /// One arrival, through the user's coverage stripe: true when the
-  /// record is checkpoint-covered (skip it).
-  [[nodiscard]] bool arrive_covered(trace::UserId user);
-  void update_lag_gauge();
+  /// Reactor 0 only: the lag gauge and serve_ingest_records_total's
+  /// applied/replayed counts, from the engine's counts.
+  void sync_ingest_metrics();
   [[nodiscard]] std::string summary_json();
 
   ServeConfig config_;
@@ -238,14 +227,9 @@ class Server {
   std::string instance_id_;
   bool was_at_cap_ = false;  ///< reactor 0 only (backpressure episodes)
 
-  /// Per-user coverage: arrivals this lifetime and, as each user's prefix,
-  /// the coverage restored from the checkpoint being resumed.
-  std::array<CoverageStripe, kCoverageStripes> coverage_;
   std::uint64_t restored_cursor_ = 0;
-  /// records_applied_ at the last checkpoint (reactor 0 only).
-  std::uint64_t applied_at_checkpoint_ = 0;
-  /// Events the engine accepted (in-flight base for the lag gauge).
-  std::atomic<std::uint64_t> routed_{0};
+  /// records_parsed_ at the last checkpoint (reactor 0 only).
+  std::uint64_t parsed_at_checkpoint_ = 0;
 
   std::atomic<bool> drain_requested_{false};  ///< stop accepting ingest
   std::atomic<bool> drain_done_{false};  ///< engine drained, answers queued
@@ -266,8 +250,6 @@ class Server {
 
   // Lifetime totals (materialized into ServeStats when run() returns).
   std::atomic<std::uint64_t> records_parsed_{0};
-  std::atomic<std::uint64_t> records_applied_{0};
-  std::atomic<std::uint64_t> records_replayed_{0};
   std::atomic<std::uint64_t> records_malformed_{0};
 
   ServeStats stats_;

@@ -1,10 +1,10 @@
-#include "serve/coverage.h"
+#include "stream/coverage.h"
 
 #include <algorithm>
 
 #include "stream/snapshot_io.h"
 
-namespace geovalid::serve {
+namespace geovalid::stream {
 
 void CoverageLedger::collect(Coverage& out) const {
   for (const auto& [user, e] : users_) {
@@ -27,7 +27,7 @@ std::uint64_t CoverageLedger::begin_epoch(
   return reset_users;
 }
 
-void CoverageLedger::write(stream::SnapshotWriter& w, Coverage coverage) {
+void CoverageLedger::write(SnapshotWriter& w, Coverage coverage) {
   std::sort(coverage.begin(), coverage.end());
   w.u64(coverage.size());
   for (const auto& [user, covered] : coverage) {
@@ -36,7 +36,7 @@ void CoverageLedger::write(stream::SnapshotWriter& w, Coverage coverage) {
   }
 }
 
-Coverage CoverageLedger::read(stream::SnapshotReader& r) {
+Coverage CoverageLedger::read(SnapshotReader& r) {
   const std::uint64_t users = r.u64();
   Coverage coverage;
   for (std::uint64_t i = 0; i < users; ++i) {
@@ -48,10 +48,10 @@ Coverage CoverageLedger::read(stream::SnapshotReader& r) {
   for (std::size_t i = 0; i < coverage.size(); ++i) {
     if (coverage[i].second == 0 ||
         (i > 0 && coverage[i].first == coverage[i - 1].first)) {
-      throw stream::SnapshotError("snapshot: malformed serve coverage table");
+      throw SnapshotError("snapshot: malformed serve coverage table");
     }
   }
   return coverage;
 }
 
-}  // namespace geovalid::serve
+}  // namespace geovalid::stream

@@ -1,11 +1,14 @@
-// Per-user exactly-once accounting, one copy for both front ends.
+// Per-user exactly-once accounting, one copy for the engine's shards and
+// the cluster router.
 //
 // Each user has one entry {arrived, prefix}: `arrived` counts the user's
 // records seen since the current epoch began, `prefix` is how many of the
 // user's records the engine behind already holds. One rule serves both
 // replay protocols — clients re-send their traces from the beginning and a
 // record is skipped while arrived ≤ prefix:
-//   - serve resume: a checkpoint records max(prefix, arrived) per user;
+//   - serve resume: each StreamEngine shard keeps the ledger of the users
+//     it owns and counts every record in its arrival order, before any
+//     other check; a checkpoint records max(prefix, arrived) per user and
 //     a restart restores that as each user's prefix;
 //   - router epochs: a backend replacement or restart makes
 //     max(prefix, arrived) every user's new prefix (0 for the replaced
@@ -23,11 +26,9 @@
 #include "trace/gps.h"
 
 namespace geovalid::stream {
+
 class SnapshotReader;
 class SnapshotWriter;
-}  // namespace geovalid::stream
-
-namespace geovalid::serve {
 
 /// (user, covered records) pairs: a ledger's snapshot form.
 using Coverage = std::vector<std::pair<trace::UserId, std::uint64_t>>;
@@ -59,9 +60,9 @@ class CoverageLedger {
 
   /// The snapshot codec: u64 count, then (u32 id, u64 covered) sorted by
   /// id — the serve checkpoint's coverage layout.
-  static void write(stream::SnapshotWriter& w, Coverage coverage);
-  /// Throws stream::SnapshotError on a zero count or a duplicate id.
-  [[nodiscard]] static Coverage read(stream::SnapshotReader& r);
+  static void write(SnapshotWriter& w, Coverage coverage);
+  /// Throws SnapshotError on a zero count or a duplicate id.
+  [[nodiscard]] static Coverage read(SnapshotReader& r);
 
  private:
   struct Entry {
@@ -71,4 +72,4 @@ class CoverageLedger {
   std::unordered_map<trace::UserId, Entry> users_;
 };
 
-}  // namespace geovalid::serve
+}  // namespace geovalid::stream

@@ -205,6 +205,7 @@ struct StreamEngine::Shard {
   std::uint64_t fault_seq = 0;    ///< worker-local event ordinal (fault hook)
 
   // Worker-owned state.
+  CoverageLedger coverage;  ///< arrivals and restored prefixes, owned users
   std::unordered_map<trace::UserId, UserPipeline> users;
   match::Partition totals;
   match::Partition counted;  ///< portion of `totals` already in the counters
@@ -222,11 +223,25 @@ struct StreamEngine::Shard {
   mutable std::mutex snapshot_mu;
   match::Partition snapshot;
   std::atomic<std::size_t> processed{0};
+  std::atomic<std::size_t> replayed{0};
   std::exception_ptr error;
 
   std::thread worker;
 
-  void process(const Event& e, const StreamEngineConfig& config) {
+  /// Decides one record, in its user's arrival order: coverage first (so a
+  /// quarantined record counts as arrived too), then the payload and time
+  /// order checks, then the pipeline. Returns false for a covered replay,
+  /// which is skipped.
+  bool process(const Event& e, const StreamEngineConfig& config) {
+    if (coverage.arrive(e.user)) return false;
+    if (config.quarantine != nullptr) {
+      // Payload checks need no history: garbage never reaches the geodesic
+      // math, and creates no user state.
+      if (const auto reason = validate_event(e, config.known_users)) {
+        config.quarantine->record(e, *reason);
+        return true;
+      }
+    }
     if (config.faults != nullptr) {
       config.faults->on_shard_event(index, fault_seq++);
     }
@@ -243,7 +258,7 @@ struct StreamEngine::Shard {
             e, p.last_event_t - t <= config.reorder_window
                    ? QuarantineReason::kLateTimestamp
                    : QuarantineReason::kStaleTimestamp);
-        return;
+        return true;
       }
       std::ostringstream os;
       os << "StreamEngine: events for user " << e.user
@@ -267,6 +282,7 @@ struct StreamEngine::Shard {
     }
     p.matcher.advance(t, p.detector.open_window_start().value_or(t));
     add_partition_delta(totals, p.verdicts, before);
+    return true;
   }
 
   void run(const StreamEngineConfig& config) {
@@ -287,7 +303,7 @@ struct StreamEngine::Shard {
       }
       // The whole mailbox just emptied: every blocked producer has room.
       cv_producer.notify_all();
-      std::size_t n = 0, n_gps = 0, n_checkin = 0;
+      std::size_t n = 0, n_gps = 0, n_checkin = 0, skipped = 0;
       for (const Batch& batch : work) {
         n += batch.events.size();
         for (const Event& e : batch.events) {
@@ -295,7 +311,9 @@ struct StreamEngine::Shard {
         }
         if (!failed) {
           try {
-            for (const Event& e : batch.events) process(e, config);
+            for (const Event& e : batch.events) {
+              if (!process(e, config)) ++skipped;
+            }
           } catch (...) {
             // Record the first failure, then keep draining so the producer
             // never deadlocks on a full mailbox.
@@ -307,7 +325,8 @@ struct StreamEngine::Shard {
           metrics.batch_latency_ns->observe(ns_since(batch.enqueued));
         }
       }
-      processed.fetch_add(n, std::memory_order_relaxed);
+      processed.fetch_add(n - skipped, std::memory_order_relaxed);
+      replayed.fetch_add(skipped, std::memory_order_relaxed);
       if (metrics.shard_events) {
         // One flush per drained chunk, not per event: the counters are
         // shared across shards, so per-event increments would bounce the
@@ -442,45 +461,32 @@ std::size_t StreamEngine::shard_of(trace::UserId user) const {
   return static_cast<std::size_t>(mix64(user) % shards_.size());
 }
 
-bool StreamEngine::push(const Event& e) { return producer_->push(e); }
+void StreamEngine::push(const Event& e) { producer_->push(e); }
 
 StreamEngine::Producer::Producer(StreamEngine& engine) : engine_(engine) {
   staging_.resize(engine_.shards_.size());
   for (auto& s : staging_) s.reserve(engine_.config_.batch_size);
 }
 
-std::size_t StreamEngine::Producer::stage(std::span<const Event> events,
-                                          std::size_t hand_off_at) {
+void StreamEngine::Producer::stage(std::span<const Event> events,
+                                   std::size_t hand_off_at) {
   if (engine_.finished_) {
     throw std::logic_error("StreamEngine::push called after finish()");
   }
   engine_.pushed_.fetch_add(events.size(), std::memory_order_relaxed);
-  const StreamEngineConfig& config = engine_.config_;
-  std::size_t accepted = 0;
   for (const Event& e : events) {
-    // Payload validation happens producer-side (no per-user history
-    // needed), so garbage never reaches the geodesic math or even a shard.
-    if (config.quarantine != nullptr) {
-      if (const auto reason = validate_event(e, config.known_users)) {
-        config.quarantine->record(e, *reason);
-        continue;
-      }
-    }
     const std::size_t s = engine_.shard_of(e.user);
     staging_[s].push_back(e);
-    ++accepted;
     if (staging_[s].size() >= hand_off_at) hand_off(s);
   }
-  return accepted;
 }
 
-bool StreamEngine::Producer::push(const Event& e) {
-  return stage({&e, 1}, engine_.config_.batch_size) == 1;
+void StreamEngine::Producer::push(const Event& e) {
+  stage({&e, 1}, engine_.config_.batch_size);
 }
 
-std::size_t StreamEngine::Producer::stage_batch(
-    std::span<const Event> events) {
-  const std::size_t accepted = stage(events, SIZE_MAX);
+void StreamEngine::Producer::stage_batch(std::span<const Event> events) {
+  stage(events, SIZE_MAX);
   // One handoff per touched shard for the whole span — a full frame rides
   // into a mailbox under a single lock acquisition, even when it exceeds
   // batch_size (a mailbox batch is a vector of any length; the cap counts
@@ -488,7 +494,6 @@ std::size_t StreamEngine::Producer::stage_batch(
   for (std::size_t s = 0; s < staging_.size(); ++s) {
     if (staging_[s].size() >= engine_.config_.batch_size) hand_off(s);
   }
-  return accepted;
 }
 
 void StreamEngine::Producer::flush() {
@@ -647,6 +652,21 @@ std::string StreamEngine::save_state() {
   return out;
 }
 
+Coverage StreamEngine::coverage() {
+  drain();
+  Coverage out;
+  for (const auto& shard : shards_) shard->coverage.collect(out);
+  return out;
+}
+
+void StreamEngine::restore_coverage(const Coverage& coverage) {
+  // Written before anything is pushed: the first mailbox handoff orders
+  // these writes before the worker's reads, as for load_state().
+  for (const auto& [user, covered] : coverage) {
+    shards_[shard_of(user)]->coverage.set_prefix(user, covered);
+  }
+}
+
 void StreamEngine::load_state(std::string_view payload) {
   if (finished_) {
     throw std::logic_error("StreamEngine::load_state called after finish()");
@@ -733,6 +753,14 @@ std::size_t StreamEngine::events_processed() const {
   std::size_t n = 0;
   for (const auto& shard : shards_) {
     n += shard->processed.load(std::memory_order_relaxed);
+  }
+  return n;
+}
+
+std::size_t StreamEngine::events_replayed() const {
+  std::size_t n = 0;
+  for (const auto& shard : shards_) {
+    n += shard->replayed.load(std::memory_order_relaxed);
   }
   return n;
 }

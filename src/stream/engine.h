@@ -15,12 +15,18 @@
 // per user, which is all the incremental pipeline needs, so the final
 // partition is independent of the shard count.
 //
-// Producers: every event enters through a Producer handle (private
-// per-shard staging, handoff under the owning shard's mutex only — no
-// engine-global lock); push() is the engine's own. Concurrent producer
-// threads each take their own handle. The quiescence points
-// (drain/finish/save_state) assume a single caller with every other
-// Producer flushed and parked; the serve layer's reactor pause gate
+// One place decides each record: the shard that owns its user, in arrival
+// order (Shard::process). It counts the arrival in its CoverageLedger
+// (stream/coverage.h) and skips a covered replay, then checks the payload
+// and the user's time order, then runs the pipeline: a quarantined record
+// still counts as arrived, so a resume skips it instead of judging it.
+//
+// Producers: every event enters through a Producer handle, which only
+// routes — private per-shard staging, handoff under the owning shard's
+// mutex only, no engine-global lock; push() is the engine's own.
+// Concurrent producer threads each take their own handle. The quiescence
+// points (drain/finish/save_state) assume a single caller with every
+// other Producer flushed and parked; the serve layer's reactor pause gate
 // provides exactly that rendezvous.
 #pragma once
 
@@ -36,6 +42,7 @@
 
 #include "match/pipeline.h"
 #include "score/scorer.h"
+#include "stream/coverage.h"
 #include "stream/event.h"
 #include "trace/visit_detector.h"
 
@@ -90,11 +97,11 @@ struct StreamEngineConfig {
   match::ClassifierConfig classifier;
   trace::VisitDetectorConfig detector;
 
-  /// Optional dead-letter sink (see stream/quarantine.h). When set,
-  /// malformed records — bad coordinates, timestamp overflow, unknown
-  /// users, per-user timestamp regressions — are recorded there and
-  /// skipped, and the engine keeps running; when null, regressions throw
-  /// from finish() as before and payloads are not validated.
+  /// Optional dead-letter sink (see stream/quarantine.h). When set, the
+  /// owning shard records malformed records there — bad coordinates,
+  /// timestamp overflow, unknown users, per-user timestamp regressions —
+  /// and skips them, and the engine keeps running; when null, regressions
+  /// throw from finish() as before and payloads are not validated.
   Quarantine* quarantine = nullptr;
 
   /// Per-user timestamp regressions up to this bound are quarantined as
@@ -110,7 +117,8 @@ struct StreamEngineConfig {
   const std::unordered_set<trace::UserId>* known_users = nullptr;
 
   /// Deterministic fault injection (tests and `--inject-faults`): shard
-  /// workers call FaultInjector::on_shard_event before each event.
+  /// workers call FaultInjector::on_shard_event before each event that
+  /// passed the replay skip and the payload checks.
   const FaultInjector* faults = nullptr;
 
   /// Live fake-checkin scoring (serve --model): each shard scores every
@@ -130,13 +138,11 @@ class StreamEngine {
   StreamEngine(const StreamEngine&) = delete;
   StreamEngine& operator=(const StreamEngine&) = delete;
 
-  /// Routes one event to its user's shard via the engine's own Producer.
-  /// Single producer thread; blocks when that shard's mailbox is full.
-  /// Must not be called after finish().
-  /// Returns false when the event was quarantined producer-side (payload
-  /// validation) and never reached a shard — callers tracking in-flight
-  /// depth (serve's ingest-lag gauge) only count `true` pushes.
-  bool push(const Event& e);
+  /// Routes one event to its user's shard via the engine's own Producer;
+  /// the shard decides it (coverage, validation, order). Single producer
+  /// thread; blocks when that shard's mailbox is full. Must not be called
+  /// after finish().
+  void push(const Event& e);
 
   /// A handle for one producer thread: the engine owns the one behind
   /// push(), and each serve reactor holds its own. Each handle owns
@@ -156,19 +162,17 @@ class StreamEngine {
     Producer(const Producer&) = delete;
     Producer& operator=(const Producer&) = delete;
 
-    /// Same contract and return value as StreamEngine::push, from this
-    /// handle's thread; blocks on the target shard's mailbox when full.
-    bool push(const Event& e);
+    /// Same contract as StreamEngine::push, from this handle's thread;
+    /// blocks on the target shard's mailbox when full.
+    void push(const Event& e);
 
-    /// Bulk push for a whole decoded batch (the serve layer's binary frame
-    /// path): validates and stages every event, then hands each touched
-    /// shard's staging to its mailbox at most once — one lock acquisition
-    /// per shard per call instead of one per `batch_size` boundary. The
-    /// observable semantics equal pushing the span element-by-element
-    /// (same order, same quarantine verdicts); only the handoff batching
-    /// differs. Returns how many events were accepted (not quarantined),
-    /// matching push()'s per-event return.
-    std::size_t stage_batch(std::span<const Event> events);
+    /// Bulk push for a whole decoded batch (the serve layer's ingest
+    /// path): stages every event, then hands each touched shard's staging
+    /// to its mailbox at most once — one lock acquisition per shard per
+    /// call instead of one per `batch_size` boundary. The observable
+    /// semantics equal pushing the span element-by-element (same order,
+    /// same verdicts); only the handoff batching differs.
+    void stage_batch(std::span<const Event> events);
 
     /// Hands every staged batch to its shard mailbox. Must run before any
     /// engine-wide quiescence point; cheap no-op when nothing is staged.
@@ -179,11 +183,10 @@ class StreamEngine {
     [[nodiscard]] std::uint64_t stalls() const { return stalls_; }
 
    private:
-    /// The one validate-quarantine-stage step behind push() and
-    /// stage_batch(): quarantines invalid payloads, stages the rest on
-    /// their shards, and hands a shard's staging off as soon as it holds
-    /// `hand_off_at` events. Returns how many events were accepted.
-    std::size_t stage(std::span<const Event> events, std::size_t hand_off_at);
+    /// The one routing step behind push() and stage_batch(): stages each
+    /// event on its user's shard and hands a shard's staging off as soon
+    /// as it holds `hand_off_at` events.
+    void stage(std::span<const Event> events, std::size_t hand_off_at);
 
     /// Moves shard `s`'s staging into its mailbox, blocking while the
     /// mailbox is full. Takes only that shard's mutex — safe beside any
@@ -224,6 +227,16 @@ class StreamEngine {
   /// the semantic pipeline config (matcher/classifier/detector parameters —
   /// not shard count or batch size), which load_state() verifies.
   [[nodiscard]] std::string save_state();
+
+  /// Every user's covered records, max(prefix, arrived), gathered from
+  /// the shards' ledgers: what serve's checkpoint stores beside
+  /// save_state() (implicit drain(); producer thread only). Unsorted.
+  [[nodiscard]] Coverage coverage();
+
+  /// Makes each (user, covered) pair that user's covered prefix: the
+  /// shard skips the user's first `covered` arrivals as replays. Fresh
+  /// engine only, like load_state().
+  void restore_coverage(const Coverage& coverage);
 
   /// Restores save_state() bytes into a fresh engine (nothing pushed yet).
   /// The restored run may use a different shard count. Throws
@@ -266,8 +279,12 @@ class StreamEngine {
   /// shard count and producer interleaving.
   [[nodiscard]] std::vector<score::SuspectEntry> top_suspects(std::size_t k);
 
-  /// Events fully processed by the workers (not merely enqueued).
+  /// Events fully processed by the workers (not merely enqueued),
+  /// quarantined ones included; covered replays are not.
   [[nodiscard]] std::size_t events_processed() const;
+
+  /// Events the workers skipped as covered replays (restore_coverage()).
+  [[nodiscard]] std::size_t events_replayed() const;
 
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
   [[nodiscard]] std::size_t shard_of(trace::UserId user) const;
@@ -281,8 +298,8 @@ class StreamEngine {
   StreamEngineConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::optional<Producer> producer_;  ///< push()'s handle, built after shards_
-  /// Events accepted across all producers (incl. quarantined); atomic only
-  /// so concurrent Producer handles may bump it without a lock.
+  /// Events pushed across all producers; atomic only so concurrent
+  /// Producer handles may bump it without a lock.
   std::atomic<std::uint64_t> pushed_{0};
   std::size_t last_state_bytes_ = 0;  ///< previous save_state() payload size
   bool finished_ = false;

@@ -88,7 +88,8 @@ class FaultInjector {
   std::vector<std::uint64_t> corrupt_stream(std::vector<Event>& events) const;
 
   /// Shard-worker hook: called with the shard's local event ordinal before
-  /// each event is processed; sleeps when a stall clause matches.
+  /// each event is order-checked and applied (covered replays and payload
+  /// quarantines do not count); sleeps when a stall clause matches.
   void on_shard_event(std::size_t shard, std::uint64_t shard_offset) const;
 
  private:

@@ -74,10 +74,11 @@ struct QuarantineConfig {
   bool metrics = true;
 };
 
-/// Thread-safe dead-letter sink. record() is called from the producer
-/// thread (payload validation) and from shard workers (timestamp-order
-/// violations), so counts are atomics and file appends take a mutex —
-/// quarantine is the cold path, its cost is irrelevant.
+/// Thread-safe dead-letter sink. record() is called from the engine's
+/// shard workers (payload and timestamp-order checks, both in the shard
+/// that owns the user) and record_raw() from serve's reactors and the
+/// router (wire garbage), so counts are atomics and file appends take a
+/// mutex — quarantine is the cold path, its cost is irrelevant.
 class Quarantine {
  public:
   explicit Quarantine(QuarantineConfig config = {});
@@ -109,10 +110,10 @@ class Quarantine {
   std::ofstream out_;
 };
 
-/// Producer-side payload validation: coordinates, timestamp bounds, user
-/// enrollment. Returns the reason to quarantine `e`, or nullopt when the
-/// record is plausible. Timestamp *ordering* is validated later, in the
-/// owning shard (it needs per-user history).
+/// Payload validation: coordinates, timestamp bounds, user enrollment.
+/// Returns the reason to quarantine `e`, or nullopt when the record is
+/// plausible. The owning shard runs it once the record's arrival is
+/// counted, then checks timestamp *ordering* (it needs per-user history).
 [[nodiscard]] std::optional<QuarantineReason> validate_event(
     const Event& e, const std::unordered_set<trace::UserId>* known_users);
 

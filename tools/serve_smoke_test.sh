@@ -7,6 +7,10 @@
 #      probing /healthz, /metrics and /v1/summary
 #   3. SIGTERM the daemon and require the clean-shutdown contract:
 #      exit code 5 plus a final checkpoint on disk
+#   4. resume: a daemon takes one text replay and drains (exit 0); a
+#      --resume daemon on the same checkpoint directory takes the same
+#      replay and drains, and must skip every record as covered
+#   5. serve with a trained model and probe /v1/suspects
 #
 # usage: serve_smoke_test.sh <geovalid> <geovalid_loadgen> <dataset> <work>
 set -u
@@ -15,37 +19,53 @@ CLI="$1"
 LOADGEN="$2"
 DATASET="$3"
 WORK="$4"
+LOG=serve
 
 fail() {
     echo "FAIL: $1" >&2
-    [ -f "$WORK/serve.log" ] && sed 's/^/  serve: /' "$WORK/serve.log" >&2
+    [ -f "$WORK/$LOG.log" ] && sed "s/^/  $LOG: /" "$WORK/$LOG.log" >&2
     kill "$SERVER" 2>/dev/null
     exit 1
+}
+
+. "$(dirname "$0")/smoke_lib.sh"
+
+# $1 = log name, then serve flags: starts a daemon on ephemeral ports and
+# sets SERVER, INGEST and HTTP.
+start_serve() {
+    LOG="$1"; shift
+    rm -f "$WORK/ports"
+    "$CLI" serve --port 0 --http-port 0 --port-file "$WORK/ports" "$@" \
+        > "$WORK/$LOG.log" 2>&1 &
+    SERVER=$!
+    wait_ports "$WORK/ports" "$SERVER"
+    INGEST=$(sed -n 's/^ingest=//p' "$WORK/ports")
+    HTTP=$(sed -n 's/^http=//p' "$WORK/ports")
+    [ -n "$INGEST" ] && [ -n "$HTTP" ] || fail "port file is malformed"
+}
+
+# $1 = output name: one text replay over 4 connections.
+replay() {
+    "$LOADGEN" "$DATASET" --port "$INGEST" --http-port "$HTTP" \
+        --connections 4 > "$WORK/$1.json" 2> "$WORK/$1.err" \
+        || fail "$1 failed: $(cat "$WORK/$1.err")"
+}
+
+# POST /admin/drain, then require exit 0.
+drain() {
+    probe POST "$HTTP" /admin/drain > /dev/null
+    grep -q " 200 " "$WORK/status" || fail "drain: $(cat "$WORK/status")"
+    wait "$SERVER"
+    STATUS=$?
+    [ "$STATUS" -eq 0 ] || fail "expected exit 0 after a drain, got $STATUS"
 }
 
 rm -rf "$WORK"
 mkdir -p "$WORK"
 
-"$CLI" serve --port 0 --http-port 0 --port-file "$WORK/ports" \
-    --checkpoint-dir "$WORK/ck" --dead-letter "$WORK/dead.csv" \
-    --shards 2 --reactors 2 > "$WORK/serve.log" 2>&1 &
-SERVER=$!
-
-# The port file appears only after both listeners are bound.
-i=0
-while [ ! -s "$WORK/ports" ]; do
-    i=$((i + 1))
-    [ "$i" -gt 100 ] && fail "server never wrote the port file"
-    kill -0 "$SERVER" 2>/dev/null || fail "server exited before binding"
-    sleep 0.1
-done
-INGEST=$(sed -n 's/^ingest=//p' "$WORK/ports")
-HTTP=$(sed -n 's/^http=//p' "$WORK/ports")
-[ -n "$INGEST" ] && [ -n "$HTTP" ] || fail "port file is malformed"
-
-"$LOADGEN" "$DATASET" --port "$INGEST" --http-port "$HTTP" \
-    --connections 4 > "$WORK/loadgen.json" 2> "$WORK/loadgen.err" \
-    || fail "loadgen failed: $(cat "$WORK/loadgen.err")"
+start_serve serve --checkpoint-dir "$WORK/ck" --dead-letter "$WORK/dead.csv" \
+    --shards 2 --reactors 2
+replay loadgen
 
 grep -q '"healthz_ok":true' "$WORK/loadgen.json" || fail "/healthz probe"
 grep -q '"metrics_ok":true' "$WORK/loadgen.json" || fail "/metrics probe"
@@ -77,6 +97,25 @@ STATUS=$?
 ls "$WORK"/ck/checkpoint-*.gvck > /dev/null 2>&1 \
     || fail "no final checkpoint written"
 
+# Resume leg (docs/SERVICE.md, "Checkpoints, kill, resume"): the clients
+# re-send everything, and every record the drained daemon's checkpoint
+# covers is skipped — replayed, never applied twice.
+start_serve resume-first --checkpoint-dir "$WORK/ck-resume" \
+    --shards 2 --reactors 2
+replay loadgen-resume-first
+drain
+start_serve resume --checkpoint-dir "$WORK/ck-resume" --resume \
+    --shards 2 --reactors 2
+replay loadgen-resume
+drain
+SENT=$(sed -n 's/.*"events_sent":\([0-9]*\).*/\1/p' \
+    "$WORK/loadgen-resume.json")
+[ -n "$SENT" ] && [ "$SENT" -gt 0 ] || fail "resume replay sent no events"
+grep -q "^  replayed     $SENT\$" "$WORK/resume.log" \
+    || fail "resumed daemon did not replay all $SENT records"
+grep -q '^  applied      0$' "$WORK/resume.log" \
+    || fail "resumed daemon applied a covered record"
+
 # Trained-model pass (docs/DETECTION.md): freeze a scoring artifact from
 # the same dataset, restart the daemon with --model, and require the
 # scoring control plane to answer — the loadgen's --probe-suspects exits
@@ -84,22 +123,7 @@ ls "$WORK"/ck/checkpoint-*.gvck > /dev/null 2>&1 \
 "$CLI" train "$DATASET" "$WORK/model.gvsm" > "$WORK/train.log" 2>&1 \
     || fail "train failed: $(cat "$WORK/train.log")"
 
-rm -f "$WORK/ports"
-"$CLI" serve --port 0 --http-port 0 --port-file "$WORK/ports" \
-    --model "$WORK/model.gvsm" --shards 2 --reactors 2 \
-    > "$WORK/serve-model.log" 2>&1 &
-SERVER=$!
-
-i=0
-while [ ! -s "$WORK/ports" ]; do
-    i=$((i + 1))
-    [ "$i" -gt 100 ] && fail "model server never wrote the port file"
-    kill -0 "$SERVER" 2>/dev/null || fail "model server exited before binding"
-    sleep 0.1
-done
-INGEST=$(sed -n 's/^ingest=//p' "$WORK/ports")
-HTTP=$(sed -n 's/^http=//p' "$WORK/ports")
-[ -n "$INGEST" ] && [ -n "$HTTP" ] || fail "model port file is malformed"
+start_serve serve-model --model "$WORK/model.gvsm" --shards 2 --reactors 2
 
 "$LOADGEN" "$DATASET" --port "$INGEST" --http-port "$HTTP" \
     --connections 4 --probe-suspects > "$WORK/loadgen-model.json" \
