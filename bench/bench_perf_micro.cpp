@@ -1,9 +1,9 @@
 // Microbenchmarks of the hot paths (google-benchmark), plus the wire
 // format report: after the registered benchmarks run, main() measures
 // columnar binary frame decode against text-grammar parse in rows/s and
-// prints both rates and their ratio. Both sides are single-threaded on the
-// same core, so the ratio is core-count independent — it measures the
-// codecs, not the machine.
+// prints both rates and their ratio, plus the binary encoder's rate. Both
+// sides are single-threaded on the same core, so the ratio is core-count
+// independent — it measures the codecs, not the machine.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -20,7 +20,9 @@
 #include "match/matcher.h"
 #include "serve/wire.h"
 #include "stats/ecdf.h"
+#include "stats/rng.h"
 #include "stream/replay.h"
+#include "stream/snapshot_io.h"
 #include "synth/study_generator.h"
 #include "trace/poi_grid.h"
 #include "trace/visit_detector.h"
@@ -186,6 +188,16 @@ struct WireFixture {
   std::string binary;  ///< columnar frames of up to 512 records
 };
 
+/// Appends `events` to `out` as binary frames of up to 512 records.
+void append_frames(std::string& out, const std::vector<stream::Event>& events) {
+  constexpr std::size_t kFrameRecords = 512;
+  for (std::size_t base = 0; base < events.size(); base += kFrameRecords) {
+    const std::size_t n = std::min(kFrameRecords, events.size() - base);
+    serve::append_binary_frame(
+        out, std::span<const stream::Event>(events.data() + base, n));
+  }
+}
+
 const WireFixture& wire_fixture() {
   static const WireFixture f = [] {
     WireFixture w;
@@ -193,15 +205,7 @@ const WireFixture& wire_fixture() {
     for (const stream::Event& e : w.events) {
       serve::append_wire_record(w.text, e);
     }
-    constexpr std::size_t kFrameRecords = 512;
-    for (std::size_t base = 0; base < w.events.size();
-         base += kFrameRecords) {
-      const std::size_t n =
-          std::min(kFrameRecords, w.events.size() - base);
-      serve::append_binary_frame(
-          w.binary,
-          std::span<const stream::Event>(w.events.data() + base, n));
-    }
+    append_frames(w.binary, w.events);
     return w;
   }();
   return f;
@@ -257,6 +261,41 @@ void BM_WireBinaryDecode(benchmark::State& state) {
                           static_cast<std::int64_t>(f.events.size()));
 }
 BENCHMARK(BM_WireBinaryDecode);
+
+/// One full pass of the binary encoder: the fixture's events as 512-record
+/// frames into one reused buffer. Returns the bytes written.
+std::size_t binary_encode_pass(const WireFixture& f) {
+  static std::string out;
+  out.clear();
+  append_frames(out, f.events);
+  benchmark::DoNotOptimize(out.data());
+  benchmark::ClobberMemory();
+  return out.size();
+}
+
+void BM_WireBinaryEncode(benchmark::State& state) {
+  const WireFixture& f = wire_fixture();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(binary_encode_pass(f));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(f.events.size()));
+}
+BENCHMARK(BM_WireBinaryEncode);
+
+/// CRC-32 over a 64 KiB buffer of pseudo-random bytes: the check every
+/// frame, checkpoint and model load runs over its whole body.
+void BM_Crc32(benchmark::State& state) {
+  std::string buf(64 * 1024, '\0');
+  stats::Rng rng(5);
+  for (char& ch : buf) ch = static_cast<char>(rng.uniform_int(0, 255));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(stream::crc32(buf));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(buf.size()));
+}
+BENCHMARK(BM_Crc32);
 
 // LineDecoder::next() hands out a string_view into its own buffer, so
 // the split itself allocates and copies nothing — the zero-copy design
@@ -331,10 +370,14 @@ void wire_format_report() {
 
   const double text_rows = best_rate(text_parse_pass);
   const double binary_rows = best_rate(binary_decode_pass);
+  const double encode_rows = best_rate([](const WireFixture& w) {
+    return binary_encode_pass(w) == w.binary.size() ? w.events.size() : 0;
+  });
   const double ratio = text_rows > 0.0 ? binary_rows / text_rows : 0.0;
   std::cout << "{\"bench\":\"wire_format\",\"rows\":" << f.events.size()
             << ",\"text_rows_per_sec\":" << text_rows
             << ",\"binary_rows_per_sec\":" << binary_rows
+            << ",\"binary_encode_rows_per_sec\":" << encode_rows
             << ",\"ratio\":" << ratio << "}\n";
 }
 

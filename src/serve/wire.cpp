@@ -179,31 +179,45 @@ constexpr std::size_t kFrameTrailerBytes = 4;
 /// Hex prefix length of a rejected frame's dead-letter detail.
 constexpr std::size_t kHexDetailBytes = 32;
 
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
+/// Most bytes one record can add to a frame: a 5-byte user varint, a
+/// 10-byte time delta varint and a GPS sample's columns (two f64s, a
+/// 5-byte wifi varint, an f64), plus a byte each for its kind and has_fix
+/// bits, which overcounts the two bitmaps.
+constexpr std::size_t kMaxRecordBytes = 46;
 
-void put_varint(std::string& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<char>(v | 0x80));
-    v >>= 7;
-  }
-  out.push_back(static_cast<char>(v));
-}
+/// Fewest payload bytes one record takes besides its kind bit: a checkin
+/// with one-byte user, time and poi varints, its category and two f64s.
+constexpr std::size_t kMinRecordBytes = 20;
 
-void put_zigzag(std::string& out, std::int64_t v) {
-  put_varint(out, (static_cast<std::uint64_t>(v) << 1) ^
-                      static_cast<std::uint64_t>(v >> 63));
-}
+/// Unchecked write cursor into a frame the encoder sized to its upper bound
+/// up front, so no column write checks or grows the buffer.
+struct FrameWriter {
+  unsigned char* p;
 
-void put_f64(std::string& out, double v) {
-  std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((bits >> (8 * i)) & 0xFF));
+  void u8(std::uint64_t v) { *p++ = static_cast<unsigned char>(v); }
+
+  void u32(std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) u8((v >> (8 * i)) & 0xFF);
   }
-}
+
+  void varint(std::uint64_t v) {
+    while (v >= 0x80) {
+      u8(v | 0x80);
+      v >>= 7;
+    }
+    u8(v);
+  }
+
+  void zigzag(std::int64_t v) {
+    varint((static_cast<std::uint64_t>(v) << 1) ^
+           static_cast<std::uint64_t>(v >> 63));
+  }
+
+  void f64(double v) {
+    const std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
+    for (int i = 0; i < 8; ++i) u8((bits >> (8 * i)) & 0xFF);
+  }
+};
 
 std::uint32_t read_u32(const unsigned char* p) {
   return static_cast<std::uint32_t>(p[0]) |
@@ -317,13 +331,16 @@ void append_binary_frame(std::string& out,
   if (events.empty() || events.size() > kMaxFrameRecords) return;
 
   const std::size_t header_at = out.size();
-  out.append(reinterpret_cast<const char*>(kFrameMagic.data()),
-             kFrameMagic.size());
-  out.push_back(static_cast<char>(kFrameVersion));
-  out.push_back('\0');  // flags
-  put_u32(out, static_cast<std::uint32_t>(events.size()));
-  put_u32(out, 0);  // payload_len, patched below
-  const std::size_t payload_at = out.size();
+  out.resize(header_at + kFrameHeaderBytes + kMaxRecordBytes * events.size() +
+             kFrameTrailerBytes);
+  auto* const frame = reinterpret_cast<unsigned char*>(out.data()) + header_at;
+  FrameWriter w{frame};
+  for (const unsigned char b : kFrameMagic) w.u8(b);
+  w.u8(kFrameVersion);
+  w.u8(0);  // flags
+  w.u32(static_cast<std::uint32_t>(events.size()));
+  w.u32(0);  // payload_len, patched below
+  const unsigned char* const payload = w.p;
 
   // kinds bitmap
   for (std::size_t i = 0; i < events.size(); i += 8) {
@@ -333,30 +350,25 @@ void append_binary_frame(std::string& out,
         byte |= 1u << j;
       }
     }
-    out.push_back(static_cast<char>(byte));
+    w.u8(byte);
   }
-  for (const stream::Event& e : events) put_varint(out, e.user);
+  for (const stream::Event& e : events) w.varint(e.user);
   std::int64_t prev_t = 0;
   for (const stream::Event& e : events) {
     const std::int64_t t = e.time();
     // Unsigned subtraction: the delta wraps instead of overflowing, and
     // the decoder's matching unsigned addition wraps it back bit-exactly.
-    put_zigzag(out, static_cast<std::int64_t>(
-                        static_cast<std::uint64_t>(t) -
-                        static_cast<std::uint64_t>(prev_t)));
+    w.zigzag(static_cast<std::int64_t>(static_cast<std::uint64_t>(t) -
+                                       static_cast<std::uint64_t>(prev_t)));
     prev_t = t;
   }
 
   // gps columns
   for (const stream::Event& e : events) {
-    if (e.kind == stream::Event::Kind::kGps) {
-      put_f64(out, e.gps.position.lat_deg);
-    }
+    if (e.kind == stream::Event::Kind::kGps) w.f64(e.gps.position.lat_deg);
   }
   for (const stream::Event& e : events) {
-    if (e.kind == stream::Event::Kind::kGps) {
-      put_f64(out, e.gps.position.lon_deg);
-    }
+    if (e.kind == stream::Event::Kind::kGps) w.f64(e.gps.position.lon_deg);
   }
   {
     unsigned byte = 0;
@@ -365,55 +377,46 @@ void append_binary_frame(std::string& out,
       if (e.kind != stream::Event::Kind::kGps) continue;
       if (e.gps.has_fix) byte |= 1u << (bit % 8);
       if (++bit % 8 == 0) {
-        out.push_back(static_cast<char>(byte));
+        w.u8(byte);
         byte = 0;
       }
     }
-    if (bit % 8 != 0) out.push_back(static_cast<char>(byte));
+    if (bit % 8 != 0) w.u8(byte);
   }
   for (const stream::Event& e : events) {
-    if (e.kind == stream::Event::Kind::kGps) {
-      put_varint(out, e.gps.wifi_fingerprint);
-    }
+    if (e.kind == stream::Event::Kind::kGps) w.varint(e.gps.wifi_fingerprint);
   }
   for (const stream::Event& e : events) {
-    if (e.kind == stream::Event::Kind::kGps) {
-      put_f64(out, e.gps.accel_variance);
-    }
+    if (e.kind == stream::Event::Kind::kGps) w.f64(e.gps.accel_variance);
   }
 
   // checkin columns
   for (const stream::Event& e : events) {
+    if (e.kind == stream::Event::Kind::kCheckin) w.varint(e.checkin.poi);
+  }
+  for (const stream::Event& e : events) {
     if (e.kind == stream::Event::Kind::kCheckin) {
-      put_varint(out, e.checkin.poi);
+      w.u8(static_cast<std::uint8_t>(e.checkin.category));
     }
   }
   for (const stream::Event& e : events) {
     if (e.kind == stream::Event::Kind::kCheckin) {
-      out.push_back(static_cast<char>(e.checkin.category));
+      w.f64(e.checkin.location.lat_deg);
     }
   }
   for (const stream::Event& e : events) {
     if (e.kind == stream::Event::Kind::kCheckin) {
-      put_f64(out, e.checkin.location.lat_deg);
-    }
-  }
-  for (const stream::Event& e : events) {
-    if (e.kind == stream::Event::Kind::kCheckin) {
-      put_f64(out, e.checkin.location.lon_deg);
+      w.f64(e.checkin.location.lon_deg);
     }
   }
 
-  // Patch payload_len, then seal with the CRC over version..payload.
-  const std::uint32_t payload_len =
-      static_cast<std::uint32_t>(out.size() - payload_at);
-  for (int i = 0; i < 4; ++i) {
-    out[header_at + 10 + static_cast<std::size_t>(i)] =
-        static_cast<char>((payload_len >> (8 * i)) & 0xFF);
-  }
-  const std::uint32_t crc = stream::crc32(
-      std::string_view(out).substr(header_at + 4, 10 + payload_len));
-  put_u32(out, crc);
+  // Patch payload_len, seal with the CRC over version..payload, and trim
+  // the buffer to the bytes written.
+  const auto payload_len = static_cast<std::uint32_t>(w.p - payload);
+  FrameWriter{frame + 10}.u32(payload_len);
+  w.u32(stream::crc32(std::string_view(
+      reinterpret_cast<const char*>(frame) + 4, 10 + payload_len)));
+  out.resize(header_at + static_cast<std::size_t>(w.p - frame));
 }
 
 void BinaryFrameDecoder::feed(std::string_view data) {
@@ -479,12 +482,18 @@ std::optional<BinaryFrameDecoder::Result> BinaryFrameDecoder::next() {
                       frame_detail(FrameErrorKind::kCrcMismatch, frame)};
   }
 
+  // Refuse a count the payload cannot hold before allocating its slots.
+  const std::size_t kind_bytes = (count + 7) / 8;
+  if (payload_len < kind_bytes + kMinRecordBytes * count) {
+    return FrameError{FrameErrorKind::kBadPayload,
+                      frame_detail(FrameErrorKind::kBadPayload, frame)};
+  }
+
   PayloadReader r{data + kFrameHeaderBytes, payload_len};
   Frame out;
   out.wire_bytes = total;
   out.events.resize(count);
 
-  const std::size_t kind_bytes = (count + 7) / 8;
   std::size_t checkins = 0;
   if (r.need(kind_bytes)) {
     for (std::size_t i = 0; i < count; ++i) {

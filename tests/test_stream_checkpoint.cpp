@@ -10,6 +10,7 @@
 #include <fstream>
 #include <limits>
 #include <string>
+#include <string_view>
 
 #include "match/pipeline.h"
 #include "stream/checkpoint.h"
@@ -75,6 +76,38 @@ TEST(SnapshotIo, OversizedLengthThrows) {
   w.u64(1ull << 40);  // sequence length far beyond the payload
   SnapshotReader r(w.bytes());
   EXPECT_THROW(r.length(), SnapshotError);
+}
+
+/// Bit-at-a-time CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320):
+/// the definition, independent of any lookup table.
+std::uint32_t reference_crc32(std::string_view data) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (const char ch : data) {
+    c ^= static_cast<unsigned char>(ch);
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+// Frames, checkpoints and .gvsm models all carry this CRC, so its values
+// are part of three formats: any loop that computes it must agree with
+// the definition at every length and start offset.
+TEST(SnapshotIo, Crc32MatchesTheIeeeReferenceAtEveryLengthAndOffset) {
+  EXPECT_EQ(crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(crc32(""), 0u);
+  std::string buf(72, '\0');
+  std::uint32_t x = 0x9E3779B9u;
+  for (char& ch : buf) {
+    x = x * 1664525u + 1013904223u;
+    ch = static_cast<char>(x >> 24);
+  }
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const std::string_view view = std::string_view(buf).substr(off, len);
+      EXPECT_EQ(crc32(view), reference_crc32(view))
+          << "offset " << off << " length " << len;
+    }
+  }
 }
 
 // Engine save/load: the payload must capture EVERY shard-state field.

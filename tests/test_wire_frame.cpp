@@ -166,6 +166,89 @@ TEST(WireFrame, RoundTripsRandomizedBatchesAcrossSeeds) {
   }
 }
 
+std::string to_hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char ch : bytes) {
+    const auto b = static_cast<unsigned char>(ch);
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0xF]);
+  }
+  return out;
+}
+
+// Round trips cannot catch an encoder and a decoder that drift together,
+// so these bytes pin the format itself: every encoder and CRC loop must
+// reproduce them exactly.
+TEST(WireFrame, GoldenBytesPinTheFrameLayout) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const auto gps = [](trace::UserId user, std::int64_t t, double lat,
+                      double lon, bool fix, std::uint32_t wifi,
+                      double accel) {
+    trace::GpsPoint p;
+    p.t = t;
+    p.position = {lat, lon};
+    p.has_fix = fix;
+    p.wifi_fingerprint = wifi;
+    p.accel_variance = accel;
+    return stream::Event::gps_sample(user, p);
+  };
+  const auto checkin = [](trace::UserId user, std::int64_t t,
+                          trace::PoiId poi, trace::PoiCategory category,
+                          double lat, double lon) {
+    trace::Checkin c;
+    c.t = t;
+    c.poi = poi;
+    c.category = category;
+    c.location = {lat, lon};
+    return stream::Event::checkin_event(user, c);
+  };
+  const std::vector<stream::Event> batch{
+      gps(7, 1000, 34.42, -119.7, true, 300, 0.25),
+      checkin(0xFFFFFFFFu, 1060, 12345, trace::PoiCategory::kNightlife,
+              kNaN, -0.0),
+      gps(7, 940, kInf, -kInf, false, 0, -0.0),
+      gps(1u << 28, 2000, -33.9, 151.2, true, 0xFFFFFFFFu, kNaN),
+      checkin(1, -5, 0, trace::PoiCategory::kCollege, 0.0, kInf),
+      gps(3, -5, 1e-300, -1e300, false, 1, 1.5),
+  };
+  const std::string wire = encode_frame(batch);
+  EXPECT_EQ(to_hex(wire),
+            // magic, version, flags, count 6, payload_len 168
+            "b1475646" "01" "00" "06000000" "a8000000"
+            // kinds: records 1 and 4 are checkins
+            "12"
+            // users: 7, 2^32-1 and 2^28 (5-byte varints), 7, 1, 3
+            "07" "ffffffff0f" "07" "8080808001" "01" "03"
+            // zigzag t deltas: +1000, +60, -120, +1060, -2005, 0
+            "d00f" "78" "ef01" "c810" "a91f" "00"
+            // gps lat, lon
+            "f6285c8fc2354140" "000000000000f07f" "3333333333f340c0"
+            "59f3f8c21f6ea501"
+            "cdccccccccec5dc0" "000000000000f0ff" "6666666666e66240"
+            "9c7500883ce437fe"
+            // has_fix 1,0,1,0; wifi 300, 0, 2^32-1, 1
+            "05" "ac02" "00" "ffffffff0f" "01"
+            // accel 0.25, -0.0, NaN, 1.5
+            "000000000000d03f" "0000000000000080" "000000000000f87f"
+            "000000000000f83f"
+            // checkin poi 12345, 0; categories 2, 8
+            "b960" "00" "02" "08"
+            // checkin lat NaN, 0.0; lon -0.0, inf
+            "000000000000f87f" "0000000000000000" "0000000000000080"
+            "000000000000f07f"
+            // CRC32 over version..payload
+            "b5272395");
+  const DrainResult out = drain(wire, nullptr);
+  EXPECT_TRUE(out.errors.empty());
+  ASSERT_EQ(out.frames.size(), 1u);
+  ASSERT_EQ(out.frames[0].size(), batch.size());
+  for (std::size_t j = 0; j < batch.size(); ++j) {
+    expect_event_eq(out.frames[0][j], batch[j]);
+  }
+}
+
 TEST(WireFrame, ByteAtATimeFeedDecodesEveryFrame) {
   stats::Rng rng(99);
   std::string wire;
@@ -404,6 +487,49 @@ TEST(WireFrame, RejectsStructurallyInvalidPayloads) {
     ASSERT_TRUE(std::holds_alternative<FrameError>(*result));
     EXPECT_EQ(std::get<FrameError>(*result).kind,
               FrameErrorKind::kBadPayload);
+  }
+}
+
+TEST(WireFrame, CountThePayloadCannotHoldIsRejectedUpFront) {
+  // 22 bytes claiming the most records a frame may carry over a 4-byte
+  // payload: CRC-valid, so only the count bound can refuse it cheaply.
+  const std::string hostile = forged_frame(
+      static_cast<std::uint32_t>(serve::kMaxFrameRecords), 4, "abcd");
+  ASSERT_EQ(hostile.size(), 22u);
+  stats::Rng rng(23);
+  std::vector<stream::Event> batch;
+  for (int j = 0; j < 5; ++j) batch.push_back(random_event(rng));
+  const DrainResult out = drain(hostile + encode_frame(batch), nullptr);
+  ASSERT_EQ(out.errors.size(), 1u);
+  EXPECT_EQ(out.errors.front().kind, FrameErrorKind::kBadPayload);
+  ASSERT_EQ(out.frames.size(), 1u);
+  ASSERT_EQ(out.frames[0].size(), batch.size());
+  for (std::size_t j = 0; j < batch.size(); ++j) {
+    expect_event_eq(out.frames[0][j], batch[j]);
+  }
+}
+
+TEST(WireFrame, SmallestLegalRecordsStillDecode) {
+  // Checkins whose user, time delta and poi varints are one byte each:
+  // 20 payload bytes a record plus its kind bit, the least a record can
+  // take, so a frame of them sits exactly on the count bound.
+  std::vector<stream::Event> batch;
+  for (std::uint32_t j = 0; j < 512; ++j) {
+    trace::Checkin c;
+    c.t = j / 16;
+    c.poi = j % 128;
+    c.category = static_cast<trace::PoiCategory>(j % trace::kPoiCategoryCount);
+    c.location = {34.0 + j * 1e-4, -119.0 - j * 1e-4};
+    batch.push_back(stream::Event::checkin_event(j % 100, c));
+  }
+  const std::string wire = encode_frame(batch);
+  ASSERT_EQ(wire.size(), 14 + 512 / 8 + 20 * 512 + 4);
+  const DrainResult out = drain(wire, nullptr);
+  EXPECT_TRUE(out.errors.empty());
+  ASSERT_EQ(out.frames.size(), 1u);
+  ASSERT_EQ(out.frames[0].size(), batch.size());
+  for (std::size_t j = 0; j < batch.size(); ++j) {
+    expect_event_eq(out.frames[0][j], batch[j]);
   }
 }
 
