@@ -55,6 +55,20 @@ void BM_FastDistance(benchmark::State& state) {
 }
 BENCHMARK(BM_FastDistance);
 
+// The visit detectors' stay test on BM_FastDistance's pair, at a radius
+// per path: 100 m is decided "beyond" by the latitude bound, 5000 m
+// "within" by the cos = 1 bound, and 2000 m falls between the two and
+// pays for fast_distance_m.
+void BM_FastDistanceWithin(benchmark::State& state) {
+  const geo::LatLon a{34.42, -119.70};
+  const geo::LatLon b{34.43, -119.68};
+  const auto r = static_cast<double>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(geo::fast_distance_within(a, b, r));
+  }
+}
+BENCHMARK(BM_FastDistanceWithin)->Arg(100)->Arg(2000)->Arg(5000);
+
 void BM_BoundDistance(benchmark::State& state) {
   const geo::LatLon a{34.42, -119.70};
   const geo::LatLon b{34.43, -119.68};

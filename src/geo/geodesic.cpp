@@ -36,6 +36,20 @@ double fast_distance_m(const LatLon& a, const LatLon& b) {
   return kEarthRadiusMeters * std::sqrt(dx * dx + dy * dy);
 }
 
+bool fast_distance_within(const LatLon& a, const LatLon& b, double r) {
+  if (std::isfinite(deg_to_rad((a.lat_deg + b.lat_deg) / 2.0))) {
+    const double dlon = deg_to_rad(b.lon_deg - a.lon_deg);
+    const double dy = deg_to_rad(b.lat_deg - a.lat_deg);
+    // cos = 1 bounds from above, cos = 0 from below (std::cos of a finite
+    // double is never 0, so an infinite dlon keeps dx infinite).
+    if (kEarthRadiusMeters * std::sqrt(dlon * dlon + dy * dy) <= r) {
+      return true;
+    }
+    if (kEarthRadiusMeters * std::sqrt(dy * dy) > r) return false;
+  }
+  return fast_distance_m(a, b) <= r;
+}
+
 double bound_distance_m(const LatLon& a, const LatLon& b) {
   // Two independent lower bounds on the great-circle distance
   // d = 2R asin(sqrt(h)), h = sin^2(dlat/2) + cos(lat1) cos(lat2)

@@ -18,6 +18,15 @@ namespace geovalid::geo {
 /// (visit detection over millions of GPS samples).
 [[nodiscard]] double fast_distance_m(const LatLon& a, const LatLon& b);
 
+/// Exactly `fast_distance_m(a, b) <= r` for every input, mostly without
+/// the cosine. After the cosine, every step of that formula is a rounded
+/// monotone function of |cos| ∈ [0, 1], so the formula with cos taken as 0
+/// and as 1 brackets the result; the cosine is paid only for an `r`
+/// between the two, or for a non-finite radian mean latitude, whose NaN
+/// cosine no bracket sees. The visit detectors' stay test.
+[[nodiscard]] bool fast_distance_within(const LatLon& a, const LatLon& b,
+                                        double r);
+
 /// Cheap *lower bound* on distance_m: guaranteed never to exceed the
 /// haversine distance for any valid coordinate pair (tested against it),
 /// so `bound_distance_m(a, b) > r` proves `distance_m(a, b) > r` without

@@ -43,7 +43,7 @@
 //
 // Resume contract: a checkpoint stores, besides the engine payload, the
 // per-user count of records the engine's shards had received (their
-// CoverageLedgers, stream/coverage.h). After a restart with `resume`,
+// coverage entries, stream/coverage.h). After a restart with `resume`,
 // clients re-send their traces from the beginning and each user's shard
 // silently skips the already-covered prefix — at-least-once delivery in,
 // exactly-once application out, so a kill + restart serves

@@ -8,8 +8,7 @@ namespace geovalid::stream {
 
 void CoverageLedger::collect(Coverage& out) const {
   for (const auto& [user, e] : users_) {
-    const std::uint64_t covered = std::max(e.prefix, e.arrived);
-    if (covered > 0) out.emplace_back(user, covered);
+    if (e.covered() > 0) out.emplace_back(user, e.covered());
   }
 }
 
@@ -17,7 +16,7 @@ std::uint64_t CoverageLedger::begin_epoch(
     const std::function<bool(trace::UserId)>& reset) {
   std::uint64_t reset_users = 0;
   for (auto& [user, e] : users_) {
-    e.prefix = std::max(e.prefix, e.arrived);
+    e.prefix = e.covered();
     e.arrived = 0;
     if (reset(user)) {
       e.prefix = 0;

@@ -1,15 +1,16 @@
-// Per-user exactly-once accounting, one copy for the engine's shards and
+// Per-user exactly-once accounting, one rule for the engine's shards and
 // the cluster router.
 //
-// Each user has one entry {arrived, prefix}: `arrived` counts the user's
-// records seen since the current epoch began, `prefix` is how many of the
-// user's records the engine behind already holds. One rule serves both
-// replay protocols — clients re-send their traces from the beginning and a
-// record is skipped while arrived ≤ prefix:
-//   - serve resume: each StreamEngine shard keeps the ledger of the users
-//     it owns and counts every record in its arrival order, before any
-//     other check; a checkpoint records max(prefix, arrived) per user and
-//     a restart restores that as each user's prefix;
+// Each user has one CoverageEntry {arrived, prefix}: `arrived` counts the
+// user's records seen since the current epoch began, `prefix` is how many
+// of the user's records the engine behind already holds. One rule serves
+// both replay protocols — clients re-send their traces from the beginning
+// and a record is skipped while arrived ≤ prefix:
+//   - serve resume: each StreamEngine shard keeps the entry of every user
+//     it owns beside that user's pipeline, in its one per-user map, and
+//     counts every record in its arrival order, before any other check; a
+//     checkpoint records max(prefix, arrived) per user and a restart
+//     restores that as each user's prefix;
 //   - router epochs: a backend replacement or restart makes
 //     max(prefix, arrived) every user's new prefix (0 for the replaced
 //     backend's users, whose own checkpoint-resume skip takes over) and
@@ -17,6 +18,7 @@
 // At-least-once delivery in, exactly-once application out.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
@@ -33,14 +35,26 @@ class SnapshotWriter;
 /// (user, covered records) pairs: a ledger's snapshot form.
 using Coverage = std::vector<std::pair<trace::UserId, std::uint64_t>>;
 
+/// One user's {arrived, prefix}.
+struct CoverageEntry {
+  std::uint64_t arrived = 0;
+  std::uint64_t prefix = 0;
+
+  /// Counts one arriving record; true when it falls inside the covered
+  /// prefix and must be skipped.
+  bool arrive() { return ++arrived <= prefix; }
+
+  /// max(prefix, arrived): what a checkpoint records and an epoch folds.
+  [[nodiscard]] std::uint64_t covered() const {
+    return std::max(prefix, arrived);
+  }
+};
+
 class CoverageLedger {
  public:
   /// Counts one arriving record of `user`; true when it falls inside the
   /// covered prefix and must be skipped.
-  bool arrive(trace::UserId user) {
-    Entry& e = users_[user];
-    return ++e.arrived <= e.prefix;
-  }
+  bool arrive(trace::UserId user) { return users_[user].arrive(); }
 
   /// Makes `prefix` the user's covered prefix (checkpoint restore).
   void set_prefix(trace::UserId user, std::uint64_t prefix) {
@@ -65,11 +79,7 @@ class CoverageLedger {
   [[nodiscard]] static Coverage read(SnapshotReader& r);
 
  private:
-  struct Entry {
-    std::uint64_t arrived = 0;
-    std::uint64_t prefix = 0;
-  };
-  std::unordered_map<trace::UserId, Entry> users_;
+  std::unordered_map<trace::UserId, CoverageEntry> users_;
 };
 
 }  // namespace geovalid::stream

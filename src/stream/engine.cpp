@@ -28,6 +28,8 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+constexpr std::size_t kPrefetch = 4;  ///< records ahead, in Shard::run
+
 std::uint64_t ns_since(Clock::time_point start) {
   const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                       Clock::now() - start)
@@ -144,6 +146,13 @@ struct UserPipeline {
   }
 };
 
+/// A shard's one map entry per user: coverage for every user seen, and a
+/// pipeline from the first record past the payload checks on.
+struct UserState {
+  CoverageEntry coverage;
+  std::unique_ptr<UserPipeline> pipeline;
+};
+
 UserVerdicts make_user_verdicts(trace::UserId id, const UserPipeline& p) {
   UserVerdicts v;
   v.id = id;
@@ -205,8 +214,8 @@ struct StreamEngine::Shard {
   std::uint64_t fault_seq = 0;    ///< worker-local event ordinal (fault hook)
 
   // Worker-owned state.
-  CoverageLedger coverage;  ///< arrivals and restored prefixes, owned users
-  std::unordered_map<trace::UserId, UserPipeline> users;
+  std::unordered_map<trace::UserId, UserState> users;
+  std::vector<UserState*> resolved;  ///< run()'s per-batch lookups, reused
   match::Partition totals;
   match::Partition counted;  ///< portion of `totals` already in the counters
 
@@ -228,12 +237,12 @@ struct StreamEngine::Shard {
 
   std::thread worker;
 
-  /// Decides one record, in its user's arrival order: coverage first (so a
-  /// quarantined record counts as arrived too), then the payload and time
-  /// order checks, then the pipeline. Returns false for a covered replay,
-  /// which is skipped.
-  bool process(const Event& e, const StreamEngineConfig& config) {
-    if (coverage.arrive(e.user)) return false;
+  /// Decides one record of user `u`, in its user's arrival order: coverage
+  /// first (so a quarantined record counts as arrived too), then the
+  /// payload and time order checks, then the pipeline. Returns false for a
+  /// covered replay, which is skipped.
+  bool process(const Event& e, UserState& u, const StreamEngineConfig& config) {
+    if (u.coverage.arrive()) return false;
     if (config.quarantine != nullptr) {
       // Payload checks need no history: garbage never reaches the geodesic
       // math, and creates no user state.
@@ -245,8 +254,8 @@ struct StreamEngine::Shard {
     if (config.faults != nullptr) {
       config.faults->on_shard_event(index, fault_seq++);
     }
-    auto [it, inserted] = users.try_emplace(e.user, config);
-    UserPipeline& p = it->second;
+    if (!u.pipeline) u.pipeline = std::make_unique<UserPipeline>(config);
+    UserPipeline& p = *u.pipeline;
 
     const trace::TimeSec t = e.time();
     if (p.saw_event && t < p.last_event_t) {
@@ -303,16 +312,24 @@ struct StreamEngine::Shard {
       }
       // The whole mailbox just emptied: every blocked producer has room.
       cv_producer.notify_all();
-      std::size_t n = 0, n_gps = 0, n_checkin = 0, skipped = 0;
+      std::size_t n = 0, n_gps = 0, skipped = 0;
       for (const Batch& batch : work) {
-        n += batch.events.size();
-        for (const Event& e : batch.events) {
-          (e.kind == Event::Kind::kGps ? n_gps : n_checkin) += 1;
+        const std::vector<Event>& events = batch.events;
+        n += events.size();
+        // Every record's user first: the lookups do not depend on each
+        // other, so their cache misses overlap.
+        resolved.clear();
+        for (const Event& e : events) {
+          n_gps += e.kind == Event::Kind::kGps;
+          if (!failed) resolved.push_back(&users[e.user]);
         }
         if (!failed) {
           try {
-            for (const Event& e : batch.events) {
-              if (!process(e, config)) ++skipped;
+            for (std::size_t i = 0; i < events.size(); ++i) {
+              if (i + kPrefetch < events.size()) {
+                __builtin_prefetch(resolved[i + kPrefetch]->pipeline.get());
+              }
+              if (!process(events[i], *resolved[i], config)) ++skipped;
             }
           } catch (...) {
             // Record the first failure, then keep draining so the producer
@@ -333,7 +350,7 @@ struct StreamEngine::Shard {
         // cache line between workers.
         metrics.shard_events->inc(n);
         metrics.events_gps->inc(n_gps);
-        metrics.events_checkin->inc(n_checkin);
+        metrics.events_checkin->inc(n - n_gps);
       }
       publish();
       {
@@ -343,7 +360,9 @@ struct StreamEngine::Shard {
       cv_idle.notify_all();
     }
     if (!failed && finalize) {
-      for (auto& [id, p] : users) {
+      for (auto& [id, u] : users) {
+        if (!u.pipeline) continue;
+        UserPipeline& p = *u.pipeline;
         const match::Partition before = p.verdicts;
         if (auto visit = p.detector.finish()) p.matcher.push_visit(*visit);
         p.matcher.finish();
@@ -624,7 +643,9 @@ std::string StreamEngine::save_state() {
   // reads.
   std::vector<std::pair<trace::UserId, const UserPipeline*>> all;
   for (const auto& shard : shards_) {
-    for (const auto& [id, p] : shard->users) all.emplace_back(id, &p);
+    for (const auto& [id, u] : shard->users) {
+      if (u.pipeline) all.emplace_back(id, u.pipeline.get());
+    }
   }
   std::sort(all.begin(), all.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -655,7 +676,11 @@ std::string StreamEngine::save_state() {
 Coverage StreamEngine::coverage() {
   drain();
   Coverage out;
-  for (const auto& shard : shards_) shard->coverage.collect(out);
+  for (const auto& shard : shards_) {
+    for (const auto& [id, u] : shard->users) {
+      if (u.coverage.covered() > 0) out.emplace_back(id, u.coverage.covered());
+    }
+  }
   return out;
 }
 
@@ -663,7 +688,7 @@ void StreamEngine::restore_coverage(const Coverage& coverage) {
   // Written before anything is pushed: the first mailbox handoff orders
   // these writes before the worker's reads, as for load_state().
   for (const auto& [user, covered] : coverage) {
-    shards_[shard_of(user)]->coverage.set_prefix(user, covered);
+    shards_[shard_of(user)]->users[user].coverage.prefix = covered;
   }
 }
 
@@ -690,11 +715,10 @@ void StreamEngine::load_state(std::string_view payload) {
   for (std::uint64_t i = 0; i < user_count; ++i) {
     const trace::UserId id = r.u32();
     Shard& shard = *shards_[shard_of(id)];
-    auto [it, inserted] = shard.users.try_emplace(id, config_);
-    if (!inserted) {
-      throw SnapshotError("snapshot: duplicate user id");
-    }
-    UserPipeline& p = it->second;
+    std::unique_ptr<UserPipeline>& slot = shard.users[id].pipeline;
+    if (slot) throw SnapshotError("snapshot: duplicate user id");
+    slot = std::make_unique<UserPipeline>(config_);
+    UserPipeline& p = *slot;
     p.saw_event = r.boolean();
     p.last_event_t = r.i64();
     p.verdicts = load_partition(r);
@@ -773,16 +797,16 @@ std::optional<UserVerdicts> StreamEngine::user_verdicts(trace::UserId user) {
   drain();
   const Shard& shard = *shards_[shard_of(user)];
   const auto it = shard.users.find(user);
-  if (it == shard.users.end()) return std::nullopt;
-  return make_user_verdicts(user, it->second);
+  if (it == shard.users.end() || !it->second.pipeline) return std::nullopt;
+  return make_user_verdicts(user, *it->second.pipeline);
 }
 
 std::vector<UserVerdicts> StreamEngine::all_user_verdicts() {
   drain();
   std::vector<UserVerdicts> out;
   for (const auto& shard : shards_) {
-    for (const auto& [id, p] : shard->users) {
-      out.push_back(make_user_verdicts(id, p));
+    for (const auto& [id, u] : shard->users) {
+      if (u.pipeline) out.push_back(make_user_verdicts(id, *u.pipeline));
     }
   }
   std::sort(out.begin(), out.end(),
@@ -795,7 +819,9 @@ std::vector<UserVerdicts> StreamEngine::all_user_verdicts() {
 std::size_t StreamEngine::user_count() {
   drain();
   std::size_t n = 0;
-  for (const auto& shard : shards_) n += shard->users.size();
+  for (const auto& shard : shards_) {
+    for (const auto& [id, u] : shard->users) n += u.pipeline != nullptr;
+  }
   return n;
 }
 

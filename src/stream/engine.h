@@ -16,10 +16,12 @@
 // partition is independent of the shard count.
 //
 // One place decides each record: the shard that owns its user, in arrival
-// order (Shard::process). It counts the arrival in its CoverageLedger
-// (stream/coverage.h) and skips a covered replay, then checks the payload
-// and the user's time order, then runs the pipeline: a quarantined record
-// still counts as arrived, so a resume skips it instead of judging it.
+// order (Shard::process), through one lookup in the shard's one user map,
+// whose entry holds the user's CoverageEntry (stream/coverage.h) and, once
+// a record passed the payload checks, the user's pipeline. It counts the
+// arrival and skips a covered replay, then checks the payload and the
+// user's time order, then runs the pipeline: a quarantined record still
+// counts as arrived, so a resume skips it instead of judging it.
 //
 // Producers: every event enters through a Producer handle, which only
 // routes — private per-shard staging, handoff under the owning shard's
@@ -229,7 +231,7 @@ class StreamEngine {
   [[nodiscard]] std::string save_state();
 
   /// Every user's covered records, max(prefix, arrived), gathered from
-  /// the shards' ledgers: what serve's checkpoint stores beside
+  /// the shards' coverage entries: what serve's checkpoint stores beside
   /// save_state() (implicit drain(); producer thread only). Unsorted.
   [[nodiscard]] Coverage coverage();
 
@@ -257,8 +259,8 @@ class StreamEngine {
   /// thread only). Sums of the per-user partitions equal partition().
   [[nodiscard]] std::vector<UserVerdicts> all_user_verdicts();
 
-  /// Users tracked across all shards (implicit drain(); producer thread
-  /// only).
+  /// Users with a pipeline (a record past the payload checks) across all
+  /// shards (implicit drain(); producer thread only).
   [[nodiscard]] std::size_t user_count();
 
   /// True when the engine was configured with a scoring model.

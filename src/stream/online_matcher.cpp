@@ -8,8 +8,8 @@ namespace geovalid::stream {
 namespace {
 
 /// upper_bound over the sample window: first sample with t > key.
-template <typename Deque>
-auto first_after(const Deque& window, trace::TimeSec key) {
+template <typename Window>
+auto first_after(const Window& window, trace::TimeSec key) {
   return std::upper_bound(
       window.begin(), window.end(), key,
       [](trace::TimeSec t, const trace::GpsPoint& p) { return t < p.t; });
@@ -76,7 +76,7 @@ void OnlineMatcher::finish() {
     ++sink_->by_class[static_cast<std::size_t>(*label)];
     deferred_.pop_front();
   }
-  gps_window_.clear();
+  gps_window_ = {};
 }
 
 void OnlineMatcher::finalize_pending(bool at_end) {
@@ -233,12 +233,12 @@ void OnlineMatcher::load(SnapshotReader& r) {
   pending_visits_.clear();
   pending_visits_.resize(r.length());
   for (trace::Visit& v : pending_visits_) v = load_visit(r);
-  deferred_.clear();
-  deferred_.resize(r.length());
-  for (trace::Checkin& c : deferred_) c = load_checkin(r);
-  gps_window_.clear();
-  gps_window_.resize(r.length());
-  for (trace::GpsPoint& p : gps_window_) p = load_gps(r);
+  deferred_ = {};
+  deferred_.items.resize(r.length());
+  for (trace::Checkin& c : deferred_.items) c = load_checkin(r);
+  gps_window_ = {};
+  gps_window_.items.resize(r.length());
+  for (trace::GpsPoint& p : gps_window_.items) p = load_gps(r);
   total_gps_ = static_cast<std::size_t>(r.u64());
   first_gps_t_ = r.i64();
   last_gps_t_ = r.i64();

@@ -30,7 +30,6 @@
 // proportional to trace length.
 #pragma once
 
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -91,6 +90,28 @@ class OnlineMatcher {
   void load(SnapshotReader& r);
 
  private:
+  /// A FIFO on one vector: pop_front() advances `head` and erases the dead
+  /// prefix once it is as long as the live part, so the live part stays
+  /// contiguous, a pop is amortized O(1) and an unused queue allocates
+  /// nothing. Iteration runs oldest first, as the checkpoint layout wants.
+  template <typename T>
+  struct Fifo {
+    std::vector<T> items;
+    std::size_t head = 0;
+
+    [[nodiscard]] bool empty() const { return head == items.size(); }
+    [[nodiscard]] std::size_t size() const { return items.size() - head; }
+    [[nodiscard]] const T& front() const { return items[head]; }
+    auto begin() const { return items.begin() + std::ptrdiff_t(head); }
+    auto end() const { return items.end(); }
+    void push_back(const T& v) { items.push_back(v); }
+    void pop_front() {
+      if (2 * ++head < items.size()) return;
+      items.erase(items.begin(), begin());
+      head = 0;
+    }
+  };
+
   void finalize_pending(bool at_end);
   void resolve_or_defer(const trace::Checkin& c, bool at_end);
   void prune_gps_window();
@@ -119,12 +140,12 @@ class OnlineMatcher {
 
   // Extraneous checkins whose driveby-vs-superfluous verdict waits for the
   // GPS sample closing their speed bracket.
-  std::deque<trace::Checkin> deferred_;
+  Fifo<trace::Checkin> deferred_;
 
   // Recent GPS samples, pruned to those the classifier may still consult:
   // everything newer than (oldest unresolved checkin - max_gps_gap), plus
   // the last two samples for the end-of-trace speed segment.
-  std::deque<trace::GpsPoint> gps_window_;
+  Fifo<trace::GpsPoint> gps_window_;
   std::size_t total_gps_ = 0;
   trace::TimeSec first_gps_t_ = 0;
   trace::TimeSec last_gps_t_ = 0;

@@ -80,8 +80,7 @@ std::optional<trace::Visit> OnlineVisitDetector::push(
 
   const auto n = static_cast<double>(fix_count_);
   const geo::LatLon centroid{lat_sum_ / n, lon_sum_ / n};
-  const double dist = geo::fast_distance_m(centroid, p.position);
-  if (dist <= config_.radius_m) {
+  if (geo::fast_distance_within(centroid, p.position, config_.radius_m)) {
     lat_sum_ += p.position.lat_deg;
     lon_sum_ += p.position.lon_deg;
     ++fix_count_;

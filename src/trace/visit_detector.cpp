@@ -85,8 +85,8 @@ std::vector<Visit> VisitDetector::detect(const GpsTrace& trace) const {
       continue;
     }
 
-    const double dist = geo::fast_distance_m(centroid.value(), p.position);
-    if (dist <= config_.radius_m) {
+    if (geo::fast_distance_within(centroid.value(), p.position,
+                                  config_.radius_m)) {
       centroid.add(p.position);
       window_end = p.t;
     } else {

@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "geo/bbox.h"
@@ -134,6 +136,110 @@ TEST(GeoBoundDistance, HandlesAntimeridianWrap) {
   EXPECT_LE(bound, truth);
   EXPECT_LT(truth, 30000.0);  // sanity: the short way round
   EXPECT_GT(bound, 0.0);
+}
+
+// fast_distance_within replaces `fast_distance_m(a, b) <= r` in both visit
+// detectors, so it must decide exactly as that comparison for every input:
+// one differing answer would change a stay, hence a verdict.
+::testing::AssertionResult within_agrees(const LatLon& a, const LatLon& b,
+                                         double r) {
+  const bool want = fast_distance_m(a, b) <= r;
+  if (fast_distance_within(a, b, r) == want) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << "(" << a.lat_deg << ", " << a.lon_deg << ") -> (" << b.lat_deg
+         << ", " << b.lon_deg << ") r=" << r << ": fast_distance_m says "
+         << (want ? "within" : "beyond");
+}
+
+TEST(GeoFastDistanceWithin, AgreesOnAMillionRandomCityScalePairs) {
+  std::mt19937_64 rng(20131121);
+  std::uniform_real_distribution<double> lat(-85.0, 85.0);
+  std::uniform_real_distribution<double> lon(-180.0, 180.0);
+  std::uniform_real_distribution<double> offset(-0.006, 0.006);  // ~670 m
+  std::uniform_real_distribution<double> radius(1.0, 500.0);
+  for (int i = 0; i < 1'000'000; ++i) {
+    const LatLon a{lat(rng), lon(rng)};
+    const LatLon b{a.lat_deg + offset(rng), a.lon_deg + offset(rng)};
+    ASSERT_TRUE(within_agrees(a, b, radius(rng))) << "pair " << i;
+  }
+}
+
+TEST(GeoFastDistanceWithin, AgreesOnAndOneUlpEitherSideOfTheDistance) {
+  // r on the computed distance is where the brackets touch it: pure
+  // latitude offsets (the cos = 0 bound is exact), offsets along the
+  // equator (cos = 1 exact), longitude offsets too small to move the sum
+  // once scaled by the cosine (cos = 0 exact, cos = 1 one ulp above) and
+  // general offsets.
+  std::mt19937_64 rng(7);
+  std::uniform_real_distribution<double> lat(-85.0, 85.0);
+  std::uniform_real_distribution<double> lon(-180.0, 180.0);
+  std::uniform_real_distribution<double> offset(-0.005, 0.005);
+  std::uniform_real_distribution<double> skew_exp(-10.0, -6.0);
+  for (int i = 0; i < 100'000; ++i) {
+    const LatLon a{lat(rng), lon(rng)};
+    const double dlat = offset(rng);
+    const double dlon = offset(rng);
+    const double skew = std::pow(10.0, skew_exp(rng));
+    const std::pair<LatLon, LatLon> pairs[] = {
+        {a, {a.lat_deg + dlat, a.lon_deg}},
+        {{0.0, a.lon_deg}, {0.0, a.lon_deg + dlon}},
+        {a, {a.lat_deg + dlat, a.lon_deg + dlat * skew}},
+        {a, {a.lat_deg + dlat, a.lon_deg + dlon}},
+    };
+    for (const auto& [from, to] : pairs) {
+      const double d = fast_distance_m(from, to);
+      for (const double r : {std::nextafter(d, -1.0), d,
+                             std::nextafter(d, 1e300)}) {
+        ASSERT_TRUE(within_agrees(from, to, r)) << "pair " << i;
+      }
+    }
+  }
+}
+
+TEST(GeoFastDistanceWithin, AgreesOnGlobalAndAntimeridianPairs) {
+  std::mt19937_64 rng(20130814);
+  std::uniform_real_distribution<double> lat(-90.0, 90.0);
+  std::uniform_real_distribution<double> lon(-180.0, 180.0);
+  std::uniform_real_distribution<double> radius(0.0, 2.5e7);
+  for (int i = 0; i < 100'000; ++i) {
+    const LatLon a{lat(rng), lon(rng)};
+    const LatLon b{lat(rng), lon(rng)};
+    const LatLon across{a.lat_deg, a.lon_deg > 0 ? -179.99 : 179.99};
+    const double r = radius(rng);
+    ASSERT_TRUE(within_agrees(a, b, r)) << "pair " << i;
+    ASSERT_TRUE(within_agrees(a, across, r)) << "pair " << i;
+    ASSERT_TRUE(within_agrees(a, b, fast_distance_m(a, b))) << "pair " << i;
+  }
+}
+
+TEST(GeoFastDistanceWithin, AgreesOnNonFiniteAndHugeInputs) {
+  // Every combination of these coordinates and radii. A latitude of ±inf
+  // or 1.5e308 makes the radian mean latitude non-finite, hence the
+  // formula NaN ("beyond" for every r), while a naive bracket reads
+  // "within" at r = +inf.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double values[] = {0.0,   34.4208, -119.6982, 90.0,  1e308,
+                           -1e308, 1.5e308, kInf,      -kInf, kNaN};
+  const double radii[] = {0.0, 100.0, kInf, -kInf, kNaN};
+  std::size_t cases = 0;
+  for (const double alat : values) {
+    for (const double alon : values) {
+      for (const double blat : values) {
+        for (const double blon : values) {
+          for (const double r : radii) {
+            ASSERT_TRUE(within_agrees({alat, alon}, {blat, blon}, r));
+            ++cases;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 50'000u);
+  EXPECT_FALSE(fast_distance_within({kInf, 0.0}, {0.0, 0.0}, kInf));
+  EXPECT_FALSE(fast_distance_within({1.5e308, 0.0}, {0.0, 0.0}, kInf));
 }
 
 TEST(Geodesic, DestinationRoundTrip) {

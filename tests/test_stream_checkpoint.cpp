@@ -11,10 +11,13 @@
 #include <limits>
 #include <string>
 #include <string_view>
+#include <vector>
 
+#include "geo/latlon.h"
 #include "match/pipeline.h"
 #include "stream/checkpoint.h"
 #include "stream/engine.h"
+#include "stream/quarantine.h"
 #include "stream/replay.h"
 #include "stream/snapshot_io.h"
 #include "synth/config.h"
@@ -128,6 +131,87 @@ TEST(Checkpoint, EngineStateSurvivesSaveLoadSaveByteIdentically) {
   StreamEngine b{StreamEngineConfig{}};
   b.load_state(bytes);
   EXPECT_EQ(b.save_state(), bytes);
+}
+
+/// FNV-1a 64 over `bytes`: a golden digest for payloads too long to pin as
+/// a literal.
+std::uint64_t fnv1a64(std::string_view bytes) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+// A scripted two-user stream whose checkpoint holds every kind of per-user
+// state: user 11 leaves a pruned GPS window (samples older than
+// max_gps_gap popped off its front) and a deferred classification (beta = 0
+// finalizes a checkin before any GPS sample follows it), user 12 an open
+// stay with two pending checkins; user 13 is covered by a restored prefix
+// only, and user 14's one record quarantines. The coverage table plus
+// save_state() are pinned by length and digest, captured before the
+// engine's per-user containers were reworked: any change to the layout or
+// the iteration order of that state changes them.
+TEST(Checkpoint, GoldenBytesPinCoverageAndEngineState) {
+  const geo::LatLon venue{34.4208, -119.6982};
+  const geo::LatLon stay{34.4300, -119.6900};
+  const auto fix = [](trace::UserId user, trace::TimeSec t, geo::LatLon at) {
+    return Event::gps_sample(user, trace::GpsPoint{t, at, true, 0, 0.0});
+  };
+  const auto checkin = [](trace::UserId user, trace::TimeSec t,
+                          geo::LatLon at) {
+    trace::Checkin c;
+    c.t = t;
+    c.poi = 40 + user;
+    c.category = trace::PoiCategory::kFood;
+    c.location = at;
+    return Event::checkin_event(user, c);
+  };
+
+  std::vector<Event> events;
+  for (int m = 0; m <= 20; ++m) {
+    events.push_back(fix(11, trace::minutes(m), venue));
+    if (m <= 8) events.push_back(fix(12, trace::minutes(m), stay));
+    if (m == 5) events.push_back(fix(14, trace::minutes(m), {95.0, 0.0}));
+  }
+  events.push_back(checkin(12, trace::minutes(8), stay));
+  events.push_back(checkin(12, trace::minutes(9), stay));
+  // 300 m east: breaks user 11's stay, but inside the remote radius.
+  events.push_back(fix(11, trace::minutes(21), {34.4208, -119.6949}));
+  events.push_back(checkin(11, trace::minutes(21), venue));
+
+  Quarantine quarantine(QuarantineConfig{{}, /*metrics=*/false});
+  StreamEngineConfig config;
+  config.shards = 2;
+  config.metrics = false;
+  config.match.beta = 0;
+  config.quarantine = &quarantine;
+  StreamEngine engine(config);
+  engine.restore_coverage({{11, 2}, {13, 5}});
+  for (const Event& e : events) engine.push(e);
+
+  SnapshotWriter w;
+  CoverageLedger::write(w, engine.coverage());
+  const std::string bytes = w.take() + engine.save_state();
+
+  EXPECT_EQ(engine.user_count(), 2u);
+  EXPECT_EQ(engine.events_replayed(), 2u);
+  EXPECT_EQ(quarantine.total(), 1u);
+  const auto deferring = engine.user_verdicts(11);
+  ASSERT_TRUE(deferring.has_value());
+  EXPECT_EQ(deferring->partition.extraneous, 1u);
+  EXPECT_EQ(deferring->partition.missing, 1u);
+  std::size_t classified = 0;
+  for (const std::size_t n : deferring->partition.by_class) classified += n;
+  EXPECT_EQ(classified, 0u);  // the extraneous checkin's class is deferred
+  const auto pending = engine.user_verdicts(12);
+  ASSERT_TRUE(pending.has_value());
+  EXPECT_EQ(pending->partition.checkins, 2u);
+  EXPECT_EQ(pending->partition.extraneous + pending->partition.honest, 0u);
+
+  EXPECT_EQ(bytes.size(), 1483u);
+  EXPECT_EQ(fnv1a64(bytes), 9654420350637515177ULL);
 }
 
 TEST(Checkpoint, StateBytesAreShardCountIndependent) {

@@ -343,7 +343,9 @@ TEST(StreamEngine, UserVerdictsSumToThePartition) {
 
   match::Partition sum;
   for (std::size_t i = 0; i < users.size(); ++i) {
-    if (i > 0) EXPECT_LT(users[i - 1].id, users[i].id);  // globally sorted
+    if (i > 0) {
+      EXPECT_LT(users[i - 1].id, users[i].id);  // globally sorted
+    }
     sum.honest += users[i].partition.honest;
     sum.extraneous += users[i].partition.extraneous;
     sum.missing += users[i].partition.missing;

@@ -57,7 +57,9 @@ match::Partition crash_and_recover(const std::vector<Event>& events,
     EXPECT_EQ(stats.cursor, kill_at);
     // The crash happens after the last checkpoint; resume loses at most
     // one interval of work, never verdicts.
-    if (latest) EXPECT_LE(latest->cursor, kill_at);
+    if (latest) {
+      EXPECT_LE(latest->cursor, kill_at);
+    }
   }
 
   StreamEngineConfig config;
