@@ -351,6 +351,12 @@ void Router::count_malformed() {
   if (metrics_) metrics_->rec_malformed->inc();
 }
 
+Router::UserRoute& Router::route_of(trace::UserId user) {
+  const auto [it, fresh] = users_.try_emplace(user);
+  if (fresh) it->second.owner = ring_.owner_index(user);
+  return it->second;
+}
+
 void Router::on_line(std::string_view text, bool truncated) {
   if (text.empty() && !truncated) return;  // blank keepalive line
   const std::optional<trace::UserId> user =
@@ -360,7 +366,8 @@ void Router::on_line(std::string_view text, bool truncated) {
     quarantine_->record_raw(text, stream::QuarantineReason::kMalformedLine);
     return;
   }
-  if (ledger_.arrive(*user)) {
+  UserRoute& route = route_of(*user);
+  if (route.coverage.arrive()) {
     // Epoch-covered prefix of a full re-send after a rebalance: the
     // owning backend already applied it. This skip is what keeps healthy
     // backends from double-applying while a replaced one catches up.
@@ -368,7 +375,7 @@ void Router::on_line(std::string_view text, bool truncated) {
     if (metrics_) metrics_->rec_replayed->inc();
     return;
   }
-  const std::size_t owner = ring_.owner_index(*user);
+  const std::size_t owner = route.owner;
   Forwarder& f = *forwarders_[owner];
   // enqueue() cannot lose the record: a down or recovering owner holds it
   // (bounded by run()'s backpressure check) until recovery settles replay.
@@ -388,12 +395,13 @@ void Router::on_frame(serve::BinaryFrameDecoder::Frame& frame) {
   // sub-frame on its binary channel.
   for (auto& bucket : route_scratch_) bucket.clear();
   for (const stream::Event& e : frame.events) {
-    if (ledger_.arrive(e.user)) {
+    UserRoute& route = route_of(e.user);
+    if (route.coverage.arrive()) {
       ++stats_.records_replayed;
       if (metrics_) metrics_->rec_replayed->inc();
       continue;
     }
-    route_scratch_[ring_.owner_index(e.user)].push_back(e);
+    route_scratch_[route.owner].push_back(e);
   }
   for (std::size_t owner = 0; owner < route_scratch_.size(); ++owner) {
     const std::vector<stream::Event>& bucket = route_scratch_[owner];
@@ -699,9 +707,12 @@ std::uint64_t Router::begin_new_epoch(std::size_t index) {
   // fresh prefix and corrupt the resume skip — the exact at-least-once
   // hole the re-send protocol exists to close.
   core_.sever_ingest();
-  return ledger_.begin_epoch([&](trace::UserId user) {
-    return ring_.owner_index(user) == index;
-  });
+  std::uint64_t reset_users = 0;
+  for (auto& [user, route] : users_) {
+    route.coverage.begin_epoch(route.owner == index);
+    reset_users += route.owner == index ? 1 : 0;
+  }
+  return reset_users;
 }
 
 int Router::fanout_deadline_ms() const {
@@ -722,8 +733,11 @@ void Router::check_health_timers(Clock::time_point now) {
     }
     if (!f.connected() && !drain_requested_ && now >= h.next_reconnect_at) {
       if (f.connect()) {
-        // Probe immediately: the instance comparison decides whether the
-        // spool drains (same process) or a new epoch starts (restart).
+        // Probe immediately and afresh: the instance comparison decides
+        // whether the spool drains (same process) or a new epoch starts
+        // (restart), and an answer in flight may be the dead process's.
+        h.phase = BackendHealth::ProbePhase::kIdle;
+        h.probe_fd.reset();
         h.next_probe_at = now;
       } else {
         const std::uint32_t delay = stream::backoff_with_jitter(

@@ -33,9 +33,9 @@
 // all-or-error), and POST /admin/backends/{name} — the rebalance hook
 // that points a ring name at a replacement process.
 //
-// Exactly-once across rebalance: the router keeps one CoverageLedger
-// (stream/coverage.h) — the per-user accounting each serve engine shard
-// keeps for resume.
+// Exactly-once across rebalance: the router keeps each user's
+// CoverageEntry (stream/coverage.h), the accounting a serve engine shard
+// keeps for resume, beside the user's ring owner: one lookup a record.
 // Replacing a backend starts a new *epoch*: clients re-send their full
 // traces, the router silently skips each healthy user's already-applied
 // prefix, and the replacement process's own checkpoint-resume skip
@@ -64,6 +64,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "cluster/forwarder.h"
@@ -230,9 +231,10 @@ class Router final : private serve::ConnSink {
   void on_probe_failure(std::size_t index);
 
   /// The epoch reset handle_replace pioneered, shared with instance-change
-  /// recovery: sever ingest clients, then fold the ledger into a new epoch
-  /// with the users owned by `index` reset to prefix 0. Returns how many
-  /// users' coverage was reset.
+  /// recovery: sever ingest clients, then fold every user's coverage into
+  /// a new epoch with the users owned by `index` reset to prefix 0.
+  /// Returns how many users' coverage was reset (entries are never
+  /// erased, so a user counts on every reset of its owner).
   std::uint64_t begin_new_epoch(std::size_t index);
 
   [[nodiscard]] int fanout_deadline_ms() const;
@@ -279,8 +281,15 @@ class Router final : private serve::ConnSink {
   bool started_ = false;
   bool paused_ = false;  ///< backpressure: ingest reads suspended
 
-  /// Per-user epoch accounting (see the header comment).
-  stream::CoverageLedger ledger_;
+  /// Each user's epoch accounting and ring owner, found on first sight.
+  /// The ring is built in the constructor and a replacement keeps its name,
+  /// so owners never go stale: a ring that changes must refresh the cache.
+  struct UserRoute {
+    stream::CoverageEntry coverage;
+    std::size_t owner = 0;
+  };
+  std::unordered_map<trace::UserId, UserRoute> users_;
+  UserRoute& route_of(trace::UserId user);
 
   /// Reused per-frame partition scratch: one event bucket per backend
   /// (ring order) plus the re-encode buffer — no allocation per frame

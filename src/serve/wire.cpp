@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cstring>
 #include <limits>
 
 #include "stream/snapshot_io.h"
@@ -214,8 +215,10 @@ struct FrameWriter {
   }
 
   void f64(double v) {
-    const std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
-    for (int i = 0; i < 8; ++i) u8((bits >> (8 * i)) & 0xFF);
+    const std::uint64_t bits =
+        stream::little_endian(std::bit_cast<std::uint64_t>(v));
+    std::memcpy(p, &bits, sizeof(bits));
+    p += sizeof(bits);
   }
 };
 
@@ -272,12 +275,10 @@ struct PayloadReader {
 
   double f64() {
     if (!need(8)) return 0.0;
-    std::uint64_t bits = 0;
-    for (int i = 0; i < 8; ++i) {
-      bits |= static_cast<std::uint64_t>(p[off + i]) << (8 * i);
-    }
-    off += 8;
-    return std::bit_cast<double>(bits);
+    std::uint64_t bits;
+    std::memcpy(&bits, p + off, sizeof(bits));
+    off += sizeof(bits);
+    return std::bit_cast<double>(stream::little_endian(bits));
   }
 };
 

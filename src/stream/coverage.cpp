@@ -6,26 +6,6 @@
 
 namespace geovalid::stream {
 
-void CoverageLedger::collect(Coverage& out) const {
-  for (const auto& [user, e] : users_) {
-    if (e.covered() > 0) out.emplace_back(user, e.covered());
-  }
-}
-
-std::uint64_t CoverageLedger::begin_epoch(
-    const std::function<bool(trace::UserId)>& reset) {
-  std::uint64_t reset_users = 0;
-  for (auto& [user, e] : users_) {
-    e.prefix = e.covered();
-    e.arrived = 0;
-    if (reset(user)) {
-      e.prefix = 0;
-      ++reset_users;
-    }
-  }
-  return reset_users;
-}
-
 void CoverageLedger::write(SnapshotWriter& w, Coverage coverage) {
   std::sort(coverage.begin(), coverage.end());
   w.u64(coverage.size());

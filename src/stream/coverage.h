@@ -9,8 +9,8 @@
 //   - serve resume: each StreamEngine shard keeps the entry of every user
 //     it owns beside that user's pipeline, in its one per-user map, and
 //     counts every record in its arrival order, before any other check; a
-//     checkpoint records max(prefix, arrived) per user and a restart
-//     restores that as each user's prefix;
+//     checkpoint records max(prefix, arrived) per user (CoverageLedger's
+//     codec) and a restart restores that as each user's prefix;
 //   - router epochs: a backend replacement or restart makes
 //     max(prefix, arrived) every user's new prefix (0 for the replaced
 //     backend's users, whose own checkpoint-resume skip takes over) and
@@ -20,8 +20,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -32,7 +30,7 @@ namespace geovalid::stream {
 class SnapshotReader;
 class SnapshotWriter;
 
-/// (user, covered records) pairs: a ledger's snapshot form.
+/// (user, covered records) pairs: the checkpoint's coverage table.
 using Coverage = std::vector<std::pair<trace::UserId, std::uint64_t>>;
 
 /// One user's {arrived, prefix}.
@@ -48,38 +46,21 @@ struct CoverageEntry {
   [[nodiscard]] std::uint64_t covered() const {
     return std::max(prefix, arrived);
   }
+
+  /// Starts a new epoch: the prefix becomes covered(), or 0 when `reset`
+  /// (the user's backend was replaced), and arrivals restart.
+  void begin_epoch(bool reset) {
+    prefix = reset ? 0 : covered();
+    arrived = 0;
+  }
 };
 
-class CoverageLedger {
- public:
-  /// Counts one arriving record of `user`; true when it falls inside the
-  /// covered prefix and must be skipped.
-  bool arrive(trace::UserId user) { return users_[user].arrive(); }
-
-  /// Makes `prefix` the user's covered prefix (checkpoint restore).
-  void set_prefix(trace::UserId user, std::uint64_t prefix) {
-    users_[user].prefix = prefix;
-  }
-
-  /// Appends (user, max(prefix, arrived)) for every user with a non-zero
-  /// value, unsorted: what a checkpoint records.
-  void collect(Coverage& out) const;
-
-  /// Starts a new epoch: every prefix becomes max(prefix, arrived) and
-  /// arrivals restart; users `reset` selects then drop to prefix 0.
-  /// Returns how many users were reset (entries are never erased, so a
-  /// user counts on every reset of its owner).
-  std::uint64_t begin_epoch(
-      const std::function<bool(trace::UserId)>& reset);
-
-  /// The snapshot codec: u64 count, then (u32 id, u64 covered) sorted by
-  /// id — the serve checkpoint's coverage layout.
+/// The serve checkpoint's coverage table.
+struct CoverageLedger {
+  /// u64 count, then (u32 id, u64 covered) sorted by id.
   static void write(SnapshotWriter& w, Coverage coverage);
   /// Throws SnapshotError on a zero count or a duplicate id.
   [[nodiscard]] static Coverage read(SnapshotReader& r);
-
- private:
-  std::unordered_map<trace::UserId, CoverageEntry> users_;
 };
 
 }  // namespace geovalid::stream

@@ -139,7 +139,10 @@ class OnlineMatcher {
   std::vector<trace::Visit> pending_visits_;
 
   // Extraneous checkins whose driveby-vs-superfluous verdict waits for the
-  // GPS sample closing their speed bracket.
+  // GPS sample closing their speed bracket. Through the engine that is only
+  // at beta = 0: with beta > 0 a checkin c finalizes at an event at or after
+  // c.t + beta, a GPS event there has already closed c's bracket, and a
+  // checkin event is itself pending; so by default this stays empty.
   Fifo<trace::Checkin> deferred_;
 
   // Recent GPS samples, pruned to those the classifier may still consult:

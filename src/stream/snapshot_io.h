@@ -10,7 +10,9 @@
 // shard carries.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -26,30 +28,25 @@ class SnapshotError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// `v` with its bytes in little-endian order, and back: a byte swap on
+/// big-endian hosts, the identity elsewhere.
+[[nodiscard]] inline std::uint32_t little_endian(std::uint32_t v) {
+  return std::endian::native == std::endian::big ? __builtin_bswap32(v) : v;
+}
+[[nodiscard]] inline std::uint64_t little_endian(std::uint64_t v) {
+  return std::endian::native == std::endian::big ? __builtin_bswap64(v) : v;
+}
+
 /// Appends fixed-width little-endian fields to a growing byte buffer.
-/// Multi-byte fields are staged in a local array and appended as one block:
-/// one capacity check per field instead of one per byte, which matters when
-/// a checkpoint serializes hundreds of thousands of fields on the engine's
-/// quiesce path.
+/// Multi-byte fields are appended as one block: one capacity check per
+/// field instead of one per byte, which matters when a checkpoint
+/// serializes hundreds of thousands of fields on the engine's quiesce
+/// path.
 class SnapshotWriter {
  public:
   void u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-
-  void u32(std::uint32_t v) {
-    char b[4];
-    for (int i = 0; i < 4; ++i) {
-      b[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-    }
-    buf_.append(b, sizeof(b));
-  }
-
-  void u64(std::uint64_t v) {
-    char b[8];
-    for (int i = 0; i < 8; ++i) {
-      b[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-    }
-    buf_.append(b, sizeof(b));
-  }
+  void u32(std::uint32_t v) { append(little_endian(v)); }
+  void u64(std::uint64_t v) { append(little_endian(v)); }
 
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
 
@@ -73,6 +70,11 @@ class SnapshotWriter {
   [[nodiscard]] std::string take() { return std::move(buf_); }
 
  private:
+  template <typename T>
+  void append(T v) {
+    buf_.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  }
+
   std::string buf_;
 };
 
@@ -83,30 +85,8 @@ class SnapshotReader {
   explicit SnapshotReader(std::string_view data) : data_(data) {}
 
   std::uint8_t u8() { return static_cast<std::uint8_t>(next()); }
-
-  std::uint32_t u32() {
-    require(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(
-               static_cast<unsigned char>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 4;
-    return v;
-  }
-
-  std::uint64_t u64() {
-    require(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(
-               static_cast<unsigned char>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 8;
-    return v;
-  }
+  std::uint32_t u32() { return little_endian(fixed<std::uint32_t>()); }
+  std::uint64_t u64() { return little_endian(fixed<std::uint64_t>()); }
 
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
 
@@ -139,6 +119,15 @@ class SnapshotReader {
     return data_[pos_++];
   }
 
+  template <typename T>
+  T fixed() {
+    require(sizeof(T));
+    T v;
+    std::memcpy(&v, data_.data() + pos_, sizeof(T));
+    pos_ += sizeof(T);
+    return v;
+  }
+
   void require(std::size_t n) const {
     if (data_.size() - pos_ < n) {
       throw SnapshotError("snapshot: payload truncated");
@@ -151,7 +140,13 @@ class SnapshotReader {
 
 /// CRC-32 (IEEE 802.3 polynomial, the zlib/PNG one) over `data`. The
 /// checkpoint container stores this over its payload so torn or bit-flipped
-/// files are rejected instead of restored.
+/// files are rejected instead of restored. On x86-64 CPUs with carry-less
+/// multiply, inputs of 64 bytes or more fold their 16-byte blocks with it;
+/// everything else runs slicing-by-8 tables. Both give the same value.
 [[nodiscard]] std::uint32_t crc32(std::string_view data);
+
+namespace detail {  // crc32 by the tables alone, on any CPU, for the tests
+[[nodiscard]] std::uint32_t crc32_slicing_by_8(std::string_view data);
+}
 
 }  // namespace geovalid::stream

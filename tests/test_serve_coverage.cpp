@@ -1,13 +1,14 @@
-// CoverageLedger, the one per-user exactly-once table behind serve's
-// checkpoint resume and the router's rebalance epochs: the skip rule, the
-// epoch fold, the per-backend reset count, and the snapshot codec — whose
-// bytes are pinned, since checkpoints written by earlier builds must keep
-// restoring — plus the serve restore path's rejection of malformed
-// coverage tables.
+// The one per-user exactly-once rule behind serve's checkpoint resume and
+// the router's rebalance epochs — CoverageEntry's skip rule, its epoch
+// fold and the per-backend reset count — and CoverageLedger, the serve
+// checkpoint's coverage codec, whose bytes are pinned, since checkpoints
+// written by earlier builds must keep restoring, plus the serve restore
+// path's rejection of malformed coverage tables.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
+#include <map>
 #include <string>
 
 #include "serve/server.h"
@@ -21,12 +22,18 @@ namespace {
 
 namespace fs = std::filesystem;
 using stream::Coverage;
+using stream::CoverageEntry;
 using stream::CoverageLedger;
 
-Coverage snapshot(const CoverageLedger& ledger) {
+/// Users and their entries, as a shard or the router keeps them.
+using Entries = std::map<trace::UserId, CoverageEntry>;
+
+/// What a checkpoint records: (user, covered) for every covered user.
+Coverage snapshot(const Entries& entries) {
   Coverage out;
-  ledger.collect(out);
-  std::sort(out.begin(), out.end());
+  for (const auto& [user, e] : entries) {
+    if (e.covered() > 0) out.emplace_back(user, e.covered());
+  }
   return out;
 }
 
@@ -37,52 +44,61 @@ std::string encode(Coverage coverage) {
 }
 
 TEST(CoverageLedger, SkipsWhileArrivedIsWithinThePrefix) {
-  CoverageLedger ledger;
-  EXPECT_FALSE(ledger.arrive(1));  // no prefix: every record applies
-  ledger.set_prefix(2, 2);
-  EXPECT_TRUE(ledger.arrive(2));
-  EXPECT_TRUE(ledger.arrive(2));
-  EXPECT_FALSE(ledger.arrive(2));  // arrived 3 > prefix 2
-  EXPECT_FALSE(ledger.arrive(2));
+  CoverageEntry fresh;
+  EXPECT_FALSE(fresh.arrive());  // no prefix: every record applies
+  CoverageEntry resumed{0, 2};
+  EXPECT_TRUE(resumed.arrive());
+  EXPECT_TRUE(resumed.arrive());
+  EXPECT_FALSE(resumed.arrive());  // arrived 3 > prefix 2
+  EXPECT_FALSE(resumed.arrive());
 }
 
 TEST(CoverageLedger, EpochFoldIsMaxOfPrefixAndArrived) {
-  CoverageLedger ledger;
-  ledger.set_prefix(1, 5);
-  for (int i = 0; i < 3; ++i) (void)ledger.arrive(1);  // a partial re-send
-  ledger.set_prefix(2, 2);
-  for (int i = 0; i < 7; ++i) (void)ledger.arrive(2);  // past its prefix
+  Entries entries{{1, {0, 5}}, {2, {0, 2}}};
+  for (int i = 0; i < 3; ++i) (void)entries[1].arrive();  // a partial re-send
+  for (int i = 0; i < 7; ++i) (void)entries[2].arrive();  // past its prefix
   // A checkpoint records the same fold the epoch change applies.
-  EXPECT_EQ(snapshot(ledger), (Coverage{{1, 5}, {2, 7}}));
+  EXPECT_EQ(snapshot(entries), (Coverage{{1, 5}, {2, 7}}));
 
-  EXPECT_EQ(ledger.begin_epoch([](trace::UserId) { return false; }), 0u);
-  EXPECT_EQ(snapshot(ledger), (Coverage{{1, 5}, {2, 7}}));
+  for (auto& [user, e] : entries) e.begin_epoch(false);
+  EXPECT_EQ(snapshot(entries), (Coverage{{1, 5}, {2, 7}}));
+  EXPECT_EQ(entries[2].arrived, 0u);
   // Arrivals restart: user 2's re-send skips its 7 covered records.
-  for (int i = 0; i < 7; ++i) EXPECT_TRUE(ledger.arrive(2));
-  EXPECT_FALSE(ledger.arrive(2));
+  for (int i = 0; i < 7; ++i) EXPECT_TRUE(entries[2].arrive());
+  EXPECT_FALSE(entries[2].arrive());
 }
 
 TEST(CoverageLedger, ResetCountsEveryUserTheBackendOwns) {
-  CoverageLedger ledger;
-  for (trace::UserId u = 1; u <= 6; ++u) (void)ledger.arrive(u);
-  const auto even = [](trace::UserId u) { return u % 2 == 0; };
-  EXPECT_EQ(ledger.begin_epoch(even), 3u);
-  EXPECT_FALSE(ledger.arrive(2));  // reset: the replacement's own resume
-  EXPECT_TRUE(ledger.arrive(1));   // skip takes over; others stay covered
+  // The router's epoch: every entry folds, the replaced backend's users
+  // (here the even ones) reset, and the reset users are counted.
+  Entries entries;
+  for (trace::UserId u = 1; u <= 6; ++u) (void)entries[u].arrive();
+  const auto begin_epoch = [&entries] {
+    std::uint64_t reset_users = 0;
+    for (auto& [user, e] : entries) {
+      e.begin_epoch(user % 2 == 0);
+      reset_users += user % 2 == 0 ? 1 : 0;
+    }
+    return reset_users;
+  };
+  EXPECT_EQ(begin_epoch(), 3u);
+  EXPECT_FALSE(entries[2].arrive());  // reset: the replacement's own resume
+  EXPECT_TRUE(entries[1].arrive());   // skip takes over; others stay covered
   // Entries outlive their reset, so replacing the same backend again
   // reports every user it owns, not only those seen since.
-  EXPECT_EQ(ledger.begin_epoch(even), 3u);
+  EXPECT_EQ(begin_epoch(), 3u);
+  EXPECT_EQ(entries[4].prefix, 0u);
+  EXPECT_EQ(entries[1].prefix, 1u);
 }
 
 TEST(CoverageLedger, CodecRoundTrips) {
-  CoverageLedger ledger;
-  ledger.set_prefix(40, 9);
-  for (trace::UserId u : {7u, 3u, 7u, 40u, 1u}) (void)ledger.arrive(u);
-  Coverage coverage;
-  ledger.collect(coverage);
+  Entries entries{{40, {0, 9}}};
+  for (trace::UserId u : {7u, 3u, 7u, 40u, 1u}) (void)entries[u].arrive();
+  Coverage coverage = snapshot(entries);
+  std::reverse(coverage.begin(), coverage.end());  // write() sorts
   const std::string bytes = encode(coverage);
   stream::SnapshotReader r(bytes);
-  EXPECT_EQ(CoverageLedger::read(r), snapshot(ledger));
+  EXPECT_EQ(CoverageLedger::read(r), snapshot(entries));
   EXPECT_TRUE(r.exhausted());
 }
 

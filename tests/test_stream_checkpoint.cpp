@@ -15,6 +15,7 @@
 
 #include "geo/latlon.h"
 #include "match/pipeline.h"
+#include "stats/rng.h"
 #include "stream/checkpoint.h"
 #include "stream/engine.h"
 #include "stream/quarantine.h"
@@ -82,14 +83,18 @@ TEST(SnapshotIo, OversizedLengthThrows) {
 }
 
 /// Bit-at-a-time CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320):
-/// the definition, independent of any lookup table.
-std::uint32_t reference_crc32(std::string_view data) {
-  std::uint32_t c = 0xFFFFFFFFu;
+/// the definition, independent of any lookup table. Advances the running
+/// (pre-inverted) CRC `c` over `data`.
+std::uint32_t reference_update(std::uint32_t c, std::string_view data) {
   for (const char ch : data) {
     c ^= static_cast<unsigned char>(ch);
     for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
   }
-  return c ^ 0xFFFFFFFFu;
+  return c;
+}
+
+std::uint32_t reference_crc32(std::string_view data) {
+  return reference_update(0xFFFFFFFFu, data) ^ 0xFFFFFFFFu;
 }
 
 // Frames, checkpoints and .gvsm models all carry this CRC, so its values
@@ -110,6 +115,46 @@ TEST(SnapshotIo, Crc32MatchesTheIeeeReferenceAtEveryLengthAndOffset) {
       EXPECT_EQ(crc32(view), reference_crc32(view))
           << "offset " << off << " length " << len;
     }
+  }
+}
+
+// crc32 folds inputs of 64 bytes or more by carry-less multiplication on
+// x86-64 CPUs that have it and runs slicing-by-8 tables for the rest (and
+// everywhere on other CPUs), so on such a CPU this compares the two paths
+// and the definition directly: every length to 4096 at several offsets,
+// the lengths around the fold threshold, and large random buffers.
+TEST(SnapshotIo, Crc32PathsAgreeWithTheBitwiseReference) {
+  EXPECT_EQ(crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(detail::crc32_slicing_by_8("123456789"), 0xCBF43926u);
+  stats::Rng rng(20);
+  const auto random_bytes = [&rng](std::size_t n) {
+    std::string out(n, '\0');
+    for (char& ch : out) ch = static_cast<char>(rng.uniform_int(0, 255));
+    return out;
+  };
+  const auto expect_agree = [](std::string_view view, std::uint32_t want) {
+    ASSERT_EQ(crc32(view), want) << "length " << view.size();
+    ASSERT_EQ(detail::crc32_slicing_by_8(view), want)
+        << "length " << view.size();
+  };
+  const std::string buf = random_bytes(4096 + 13);
+  for (const std::size_t off : {0, 1, 7, 13}) {
+    std::uint32_t c = 0xFFFFFFFFu;  // the reference, one byte per length
+    for (std::size_t len = 0; len <= 4096; ++len) {
+      const std::string_view view = std::string_view(buf).substr(off, len);
+      if (len > 0) c = reference_update(c, view.substr(len - 1));
+      expect_agree(view, c ^ 0xFFFFFFFFu);
+      if (HasFatalFailure()) FAIL() << "offset " << off;
+    }
+  }
+  for (const std::size_t len : {63, 64, 65, 79, 80}) {
+    const std::string bytes = random_bytes(len);
+    expect_agree(bytes, reference_crc32(bytes));
+  }
+  for (int i = 0; i < 64; ++i) {
+    const std::string bytes = random_bytes(
+        static_cast<std::size_t>(rng.uniform_int(0, 1 << 20)));
+    expect_agree(bytes, reference_crc32(bytes));
   }
 }
 

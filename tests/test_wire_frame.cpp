@@ -9,8 +9,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -246,6 +248,109 @@ TEST(WireFrame, GoldenBytesPinTheFrameLayout) {
   ASSERT_EQ(out.frames[0].size(), batch.size());
   for (std::size_t j = 0; j < batch.size(); ++j) {
     expect_event_eq(out.frames[0][j], batch[j]);
+  }
+}
+
+// The extremes of every column: u32-max ids, wifi and poi (5-byte
+// varints), time jumps between INT64_MIN and INT64_MAX (10-byte zigzag
+// deltas that wrap), and NaN, infinite and negative-zero doubles. Pinned
+// like the layout above, so a faster column loop cannot change a byte.
+TEST(WireFrame, GoldenBytesPinTheColumnExtremes) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::uint32_t kU32 = std::numeric_limits<std::uint32_t>::max();
+  const auto gps = [](trace::UserId user, std::int64_t t, double lat,
+                      double lon, std::uint32_t wifi, double accel) {
+    trace::GpsPoint p;
+    p.t = t;
+    p.position = {lat, lon};
+    p.has_fix = (user & 1) != 0;
+    p.wifi_fingerprint = wifi;
+    p.accel_variance = accel;
+    return stream::Event::gps_sample(user, p);
+  };
+  const auto checkin = [](trace::UserId user, std::int64_t t,
+                          trace::PoiId poi, double lat, double lon) {
+    trace::Checkin c;
+    c.t = t;
+    c.poi = poi;
+    c.category = trace::PoiCategory::kTravel;
+    c.location = {lat, lon};
+    return stream::Event::checkin_event(user, c);
+  };
+  const std::vector<stream::Event> batch{
+      gps(kU32, kMax, kNaN, -0.0, kU32, kInf),
+      checkin(0, kMin, kU32, -kInf, kInf),
+      gps(1, 0, -kInf, kNaN, 0, -0.0),
+      checkin(kU32, kMin, 0, -0.0, kNaN),
+      gps(128, kMax, 34.42, -119.7, 127, 1e-300),
+      gps(16383, kMin + 1, kInf, -kInf, 128, -kNaN),
+      checkin(16384, -1, 16383, 0.0, -0.0),
+      gps(2, 1, 5e-324, -5e-324, kU32 - 1, 1.0),
+  };
+  const std::string wire = encode_frame(batch);
+  EXPECT_EQ(to_hex(wire),
+            // magic, version, flags, count 8, payload_len 259
+            "b1475646" "01" "00" "08000000" "03010000"
+            // kinds: records 1, 3 and 6 are checkins
+            "4a"
+            // users: 2^32-1, 0, 1, 2^32-1, 128, 16383, 16384, 2
+            "ffffffff0f" "00" "01" "ffffffff0f" "8001" "ff7f" "808001" "02"
+            // zigzag t deltas, mod 2^64: INT64_MAX, +1, INT64_MIN,
+            // INT64_MIN, -1, +2, INT64_MAX - 1, +2
+            "feffffffffffffffff01" "02" "ffffffffffffffffff01"
+            "ffffffffffffffffff01" "01" "04" "fcffffffffffffffff01" "04"
+            // gps lat: NaN, -inf, 34.42, inf, 5e-324
+            "000000000000f87f" "000000000000f0ff" "f6285c8fc2354140"
+            "000000000000f07f" "0100000000000000"
+            // gps lon: -0.0, NaN, -119.7, -inf, -5e-324
+            "0000000000000080" "000000000000f87f" "cdccccccccec5dc0"
+            "000000000000f0ff" "0100000000000080"
+            // has_fix 1,1,0,1,0; wifi 2^32-1, 0, 127, 128, 2^32-2
+            "0b" "ffffffff0f" "00" "7f" "8001" "feffffff0f"
+            // accel inf, -0.0, 1e-300, -NaN, 1.0
+            "000000000000f07f" "0000000000000080" "59f3f8c21f6ea501"
+            "000000000000f8ff" "000000000000f03f"
+            // checkin poi 2^32-1, 0, 16383; categories 5, 5, 5
+            "ffffffff0f" "00" "ff7f" "050505"
+            // checkin lat -inf, -0.0, 0.0; lon inf, NaN, -0.0
+            "000000000000f0ff" "0000000000000080" "0000000000000000"
+            "000000000000f07f" "000000000000f87f" "0000000000000080"
+            // CRC32 over version..payload
+            "c2019416");
+  const DrainResult out = drain(wire, nullptr);
+  EXPECT_TRUE(out.errors.empty());
+  ASSERT_EQ(out.frames.size(), 1u);
+  ASSERT_EQ(out.frames[0].size(), batch.size());
+  for (std::size_t j = 0; j < batch.size(); ++j) {
+    expect_event_eq(out.frames[0][j], batch[j]);
+  }
+}
+
+// Frames of every size class, from one record to the most a frame may
+// carry, come back bit-exact.
+TEST(WireFrame, RoundTripsOneToTheMostRecordsAFrameMayCarry) {
+  stats::Rng rng(61);
+  std::vector<std::size_t> sizes{1, 2, 7, 8, 9, serve::kMaxFrameRecords};
+  for (int i = 0; i < 12; ++i) {
+    // Log-uniform over [1, kMaxFrameRecords].
+    sizes.push_back(static_cast<std::size_t>(
+        std::exp2(rng.uniform(0.0, std::log2(serve::kMaxFrameRecords)))));
+  }
+  for (const std::size_t n : sizes) {
+    std::vector<stream::Event> batch;
+    batch.reserve(n);
+    for (std::size_t j = 0; j < n; ++j) batch.push_back(random_event(rng));
+    const DrainResult out = drain(encode_frame(batch), &rng);
+    ASSERT_TRUE(out.errors.empty()) << n << " records";
+    ASSERT_EQ(out.frames.size(), 1u) << n << " records";
+    ASSERT_EQ(out.frames[0].size(), n);
+    for (std::size_t j = 0; j < n; ++j) {
+      expect_event_eq(out.frames[0][j], batch[j]);
+      if (HasFailure()) FAIL() << n << " records, record " << j;
+    }
   }
 }
 
@@ -486,6 +591,86 @@ TEST(WireFrame, RejectsStructurallyInvalidPayloads) {
     ASSERT_TRUE(result.has_value());
     ASSERT_TRUE(std::holds_alternative<FrameError>(*result));
     EXPECT_EQ(std::get<FrameError>(*result).kind,
+              FrameErrorKind::kBadPayload);
+  }
+}
+
+/// What a decoder makes of a forged frame of `count` records over
+/// `payload`, with a valid CRC: nullopt when it decodes, else the kind of
+/// the rejection.
+std::optional<FrameErrorKind> forged_result(std::uint32_t count,
+                                            const std::string& payload) {
+  BinaryFrameDecoder d;
+  d.feed(forged_frame(count, static_cast<std::uint32_t>(payload.size()),
+                      payload));
+  const auto result = d.next();
+  EXPECT_TRUE(result.has_value());
+  if (!result || !std::holds_alternative<FrameError>(*result)) {
+    return std::nullopt;
+  }
+  return std::get<FrameError>(*result).kind;
+}
+
+// A varint takes at most 10 bytes, so a reader may skip its per-byte
+// bounds check while 10 payload bytes remain, but not in the payload's
+// last 10: each rejection is tried on both sides of that line. Every
+// payload is long enough to pass the up-front count bound.
+TEST(WireFrame, RejectsHostileVarintsOnBothSidesOfTheLastTenBytes) {
+  const std::string f64(8, '\0');
+  const std::string ff9(9, '\xff');
+  // One GPS record: kinds, user 1, t delta 0, lat, lon and has_fix, then
+  // `wifi` as its wifi varint's bytes and `tail` for its accel.
+  const auto gps = [&f64](const std::string& wifi, const std::string& tail) {
+    return std::string("\x00\x01\x00", 3) + f64 + f64 + "\x01" + wifi +
+           tail;
+  };
+  // Controls that decode: a u32-max wifi, and a canonical 10-byte time
+  // delta (zigzag 2^64 - 1).
+  EXPECT_EQ(forged_result(1, gps("\xff\xff\xff\xff\x0f", f64)),
+            std::nullopt);
+  EXPECT_EQ(forged_result(1, std::string("\x00\x01", 2) + ff9 + "\x01" +
+                                 f64 + f64 + std::string("\x01\x00", 2) + f64),
+            std::nullopt);
+  const auto bad = std::optional(FrameErrorKind::kBadPayload);
+  // The last varint, read in the final 10 bytes, with its accel one
+  // byte short.
+  EXPECT_EQ(forged_result(1, gps("\x05", std::string(7, '\0'))), bad);
+  // Varints that end the payload: unterminated from 9 bytes and from 4
+  // bytes before the end, and 10 bytes from the end, both unterminated
+  // and with a 10th byte > 1.
+  EXPECT_EQ(forged_result(1, gps(std::string(9, '\x80'), "")), bad);
+  EXPECT_EQ(forged_result(1, gps(std::string(4, '\x80'), "")), bad);
+  EXPECT_EQ(forged_result(1, gps(std::string(10, '\xff'), "")), bad);
+  EXPECT_EQ(forged_result(1, gps(ff9 + "\x02", "")), bad);
+  // Mid-payload: a time delta whose 10th byte is 2 (the frame is
+  // otherwise well-formed, so this is its only fault), a user varint with
+  // no terminator in its first 10 bytes, and a wifi varint past u32.
+  EXPECT_EQ(forged_result(1, std::string("\x00\x01", 2) + ff9 + "\x02" +
+                                 f64 + f64 + std::string("\x01\x00", 2) + f64),
+            bad);
+  EXPECT_EQ(forged_result(1, std::string("\x00", 1) +
+                                 std::string(11, '\xff') + "\x00" + f64 +
+                                 f64 + std::string("\x01\x00", 2) + f64),
+            bad);
+  EXPECT_EQ(forged_result(1, gps("\xff\xff\xff\xff\x1f", f64)), bad);
+  EXPECT_EQ(forged_result(1, gps(ff9 + "\x02", f64)), bad);
+}
+
+// A CRC-valid frame whose payload_len is one byte short of or past its
+// columns is refused, for frames whose columns end in either kind.
+TEST(WireFrame, RejectsAPayloadOneByteShortOrLong) {
+  stats::Rng rng(71);
+  for (int frame = 0; frame < 8; ++frame) {
+    std::vector<stream::Event> batch;
+    const int n = static_cast<int>(rng.uniform_int(1, 40));
+    for (int j = 0; j < n; ++j) batch.push_back(random_event(rng));
+    const std::string good = encode_frame(batch);
+    const std::string payload = good.substr(14, good.size() - 18);
+    const auto count = static_cast<std::uint32_t>(batch.size());
+    ASSERT_EQ(forged_result(count, payload), std::nullopt);
+    EXPECT_EQ(forged_result(count, payload.substr(0, payload.size() - 1)),
+              FrameErrorKind::kBadPayload);
+    EXPECT_EQ(forged_result(count, payload + std::string(1, '\x00')),
               FrameErrorKind::kBadPayload);
   }
 }
