@@ -55,23 +55,6 @@ void HashRing::add_backend(const std::string& name) {
   insert_points(name, names_.size() - 1);
 }
 
-void HashRing::remove_backend(const std::string& name) {
-  const auto it = std::find(names_.begin(), names_.end(), name);
-  if (it == names_.end()) {
-    throw std::invalid_argument("HashRing: unknown backend '" + name + "'");
-  }
-  const std::size_t index = static_cast<std::size_t>(it - names_.begin());
-  names_.erase(it);
-  points_.erase(std::remove_if(points_.begin(), points_.end(),
-                               [index](const Point& p) {
-                                 return p.backend == index;
-                               }),
-                points_.end());
-  for (Point& p : points_) {
-    if (p.backend > index) --p.backend;
-  }
-}
-
 std::size_t HashRing::owner_index(trace::UserId user) const {
   if (points_.empty()) {
     throw std::logic_error("HashRing: lookup on an empty ring");

@@ -61,10 +61,6 @@ class HashRing {
   /// duplicate or empty name.
   void add_backend(const std::string& name);
 
-  /// Removes `name` and all its ring points. Throws std::invalid_argument
-  /// when absent.
-  void remove_backend(const std::string& name);
-
   [[nodiscard]] std::size_t size() const { return names_.size(); }
   [[nodiscard]] const std::vector<std::string>& names() const {
     return names_;

@@ -282,8 +282,8 @@ class Router final : private serve::ConnSink {
   bool paused_ = false;  ///< backpressure: ingest reads suspended
 
   /// Each user's epoch accounting and ring owner, found on first sight.
-  /// The ring is built in the constructor and a replacement keeps its name,
-  /// so owners never go stale: a ring that changes must refresh the cache.
+  /// The ring is built in the constructor, a replacement keeps its name,
+  /// and `HashRing` has no remove operation, so owners never go stale.
   struct UserRoute {
     stream::CoverageEntry coverage;
     std::size_t owner = 0;

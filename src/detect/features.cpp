@@ -3,7 +3,6 @@
 #include <cmath>
 #include <map>
 
-#include "core/parallel.h"
 #include "geo/geodesic.h"
 
 namespace geovalid::detect {
@@ -99,15 +98,6 @@ std::vector<FeatureVector> extract_features(const trace::UserRecord& user) {
     f[11] = log1p_safe(per_day);
   }
   return out;
-}
-
-std::vector<std::vector<FeatureVector>> extract_features(
-    const trace::Dataset& ds, std::size_t threads) {
-  const auto users = ds.users();
-  core::ThreadPool pool(threads);
-  return core::parallel_map(&pool, users.size(), [&](std::size_t i) {
-    return extract_features(users[i]);
-  });
 }
 
 }  // namespace geovalid::detect

@@ -41,10 +41,4 @@ using FeatureVector = std::array<double, kFeatureCount>;
 [[nodiscard]] std::vector<FeatureVector> extract_features(
     const trace::UserRecord& user);
 
-/// Features for every user of a dataset, outer index = user position.
-/// Users fan out over `threads` (0 = all hardware threads); the result is
-/// byte-identical at any thread count.
-[[nodiscard]] std::vector<std::vector<FeatureVector>> extract_features(
-    const trace::Dataset& ds, std::size_t threads = 1);
-
 }  // namespace geovalid::detect

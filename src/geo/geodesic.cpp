@@ -77,18 +77,6 @@ double bound_distance_m(const LatLon& a, const LatLon& b) {
   return std::max(meridian, parallel) * (1.0 - 1e-9);
 }
 
-double initial_bearing_deg(const LatLon& a, const LatLon& b) {
-  const double lat1 = deg_to_rad(a.lat_deg);
-  const double lat2 = deg_to_rad(b.lat_deg);
-  const double dlon = deg_to_rad(b.lon_deg - a.lon_deg);
-
-  const double y = std::sin(dlon) * std::cos(lat2);
-  const double x = std::cos(lat1) * std::sin(lat2) -
-                   std::sin(lat1) * std::cos(lat2) * std::cos(dlon);
-  const double bearing = rad_to_deg(std::atan2(y, x));
-  return std::fmod(bearing + 360.0, 360.0);
-}
-
 LatLon destination(const LatLon& origin, double bearing_deg,
                    double distance_meters) {
   const double delta = distance_meters / kEarthRadiusMeters;
@@ -103,11 +91,6 @@ LatLon destination(const LatLon& origin, double bearing_deg,
       lon1 + std::atan2(std::sin(theta) * std::sin(delta) * std::cos(lat1),
                         std::cos(delta) - std::sin(lat1) * std::sin(lat2));
   return LatLon{rad_to_deg(lat2), normalize_lon_deg(rad_to_deg(lon2))};
-}
-
-double speed_mps(const LatLon& a, const LatLon& b, double seconds) {
-  if (seconds <= 0.0) return 0.0;
-  return distance_m(a, b) / seconds;
 }
 
 }  // namespace geovalid::geo

@@ -1,4 +1,4 @@
-// Great-circle distance and bearing computations on the WGS-84 sphere.
+// Great-circle distances and destinations on the WGS-84 sphere.
 //
 // The matching algorithm in the paper operates at city scale (alpha = 500 m)
 // where the spherical haversine formula is accurate to well under a metre,
@@ -37,23 +37,13 @@ namespace geovalid::geo {
 /// reject the far candidates that dominate those scans.
 [[nodiscard]] double bound_distance_m(const LatLon& a, const LatLon& b);
 
-/// Initial bearing from `a` to `b`, degrees clockwise from true north,
-/// in [0, 360).
-[[nodiscard]] double initial_bearing_deg(const LatLon& a, const LatLon& b);
-
 /// Destination point reached by travelling `distance_m` metres from `origin`
 /// along `bearing_deg` (degrees clockwise from north) on a great circle.
 [[nodiscard]] LatLon destination(const LatLon& origin, double bearing_deg,
                                  double distance_meters);
 
-/// Average speed implied by moving between two positions over `seconds`,
-/// metres/second. Returns 0 when `seconds <= 0`.
-[[nodiscard]] double speed_mps(const LatLon& a, const LatLon& b,
-                               double seconds);
-
-/// Unit helpers used by the driveby-checkin classifier (threshold is 4 mph
+/// Unit helper used by the driveby-checkin classifier (threshold is 4 mph
 /// in the paper).
 [[nodiscard]] constexpr double mph_to_mps(double mph) { return mph * 0.44704; }
-[[nodiscard]] constexpr double mps_to_mph(double mps) { return mps / 0.44704; }
 
 }  // namespace geovalid::geo

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <ostream>
 
 namespace geovalid::geo {
 
@@ -22,10 +21,6 @@ std::string to_string(const LatLon& p) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.6f,%.6f", p.lat_deg, p.lon_deg);
   return buf;
-}
-
-std::ostream& operator<<(std::ostream& os, const LatLon& p) {
-  return os << to_string(p);
 }
 
 }  // namespace geovalid::geo

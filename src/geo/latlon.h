@@ -6,7 +6,6 @@
 #pragma once
 
 #include <compare>
-#include <iosfwd>
 #include <string>
 
 namespace geovalid::geo {
@@ -38,10 +37,9 @@ struct LatLon {
 /// latitude outside [-90, 90] is a bug, not a wrap-around).
 [[nodiscard]] double normalize_lon_deg(double lon_deg);
 
-/// Renders "lat,lon" with 6 decimal places (~0.1 m resolution), the format
-/// used by the CSV codecs.
+/// Renders "lat,lon" with 6 decimal places (~0.1 m resolution), for
+/// messages. The CSV codecs do not use it: they stream coordinates at 10
+/// significant digits.
 [[nodiscard]] std::string to_string(const LatLon& p);
-
-std::ostream& operator<<(std::ostream& os, const LatLon& p);
 
 }  // namespace geovalid::geo

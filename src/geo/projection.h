@@ -1,48 +1,20 @@
-// Local tangent-plane projection.
+// Flat metre coordinates.
 //
-// The MANET simulator and the Levy Walk generator work in flat metre
-// coordinates; this projection maps city-scale geographic data into a local
-// east/north plane anchored at a reference point, and back.
+// The MANET simulator and the Levy Walk generator place nodes in a flat
+// arena measured in metres; a PlanePoint is a position in that arena.
 #pragma once
 
-#include "geo/latlon.h"
+#include <compare>
 
 namespace geovalid::geo {
 
-/// A point in a local east/north tangent plane, metres.
+/// A point in a local east/north plane, metres.
 struct PlanePoint {
-  double x_m = 0.0;  ///< metres east of the projection origin
-  double y_m = 0.0;  ///< metres north of the projection origin
+  double x_m = 0.0;  ///< metres east of the arena origin
+  double y_m = 0.0;  ///< metres north of the arena origin
 
   friend constexpr auto operator<=>(const PlanePoint&,
                                     const PlanePoint&) = default;
-};
-
-/// Euclidean distance between two plane points, metres.
-[[nodiscard]] double plane_distance_m(const PlanePoint& a, const PlanePoint& b);
-
-/// Equirectangular projection anchored at a reference coordinate.
-///
-/// Error vs. true geodesic distance stays below ~0.3% out to 100 km from the
-/// origin, which is ample for the paper's 100 km x 100 km MANET arena.
-class LocalProjection {
- public:
-  /// Creates a projection anchored at `origin` (must satisfy is_valid()).
-  explicit LocalProjection(const LatLon& origin);
-
-  [[nodiscard]] const LatLon& origin() const { return origin_; }
-
-  /// Geographic -> plane.
-  [[nodiscard]] PlanePoint to_plane(const LatLon& p) const;
-
-  /// Plane -> geographic (inverse of to_plane up to floating-point error).
-  [[nodiscard]] LatLon to_geo(const PlanePoint& p) const;
-
- private:
-  LatLon origin_;
-  double cos_origin_lat_;
-  double meters_per_deg_lat_;
-  double meters_per_deg_lon_;
 };
 
 }  // namespace geovalid::geo

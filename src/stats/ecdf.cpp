@@ -30,13 +30,6 @@ double Ecdf::inverse(double p) const {
   return sorted_[std::min(rank, sorted_.size()) - 1];
 }
 
-std::vector<double> Ecdf::evaluate(std::span<const double> xs) const {
-  std::vector<double> out;
-  out.reserve(xs.size());
-  for (double x : xs) out.push_back(at(x));
-  return out;
-}
-
 CurveSeries sample_cdf_percent(const std::string& name, const Ecdf& ecdf,
                                std::span<const double> grid) {
   CurveSeries s;

@@ -30,14 +30,6 @@ class Ecdf {
   /// p in (0, 1]. Throws on empty ECDF or p outside (0, 1].
   [[nodiscard]] double inverse(double p) const;
 
-  /// The sorted sample (support points of the step function).
-  [[nodiscard]] std::span<const double> sorted_values() const {
-    return sorted_;
-  }
-
-  /// Evaluates the ECDF at each of `xs` (convenience for plotting grids).
-  [[nodiscard]] std::vector<double> evaluate(std::span<const double> xs) const;
-
  private:
   std::vector<double> sorted_;
 };

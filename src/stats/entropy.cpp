@@ -1,7 +1,6 @@
 #include "stats/entropy.h"
 
 #include <cmath>
-#include <stdexcept>
 
 namespace geovalid::stats {
 
@@ -17,32 +16,6 @@ double entropy_bits(std::span<const std::size_t> counts) {
     h -= p * std::log2(p);
   }
   return h;
-}
-
-double entropy_bits_p(std::span<const double> probabilities) {
-  double total = 0.0;
-  for (double p : probabilities) {
-    if (p < 0.0) throw std::invalid_argument("entropy: negative probability");
-    total += p;
-  }
-  if (total <= 0.0) return 0.0;
-
-  double h = 0.0;
-  for (double p : probabilities) {
-    if (p <= 0.0) continue;
-    const double q = p / total;
-    h -= q * std::log2(q);
-  }
-  return h;
-}
-
-double normalized_entropy(std::span<const std::size_t> counts) {
-  std::size_t nonzero = 0;
-  for (std::size_t c : counts) {
-    if (c > 0) ++nonzero;
-  }
-  if (nonzero < 2) return 0.0;
-  return entropy_bits(counts) / std::log2(static_cast<double>(nonzero));
 }
 
 }  // namespace geovalid::stats

@@ -13,12 +13,4 @@ namespace geovalid::stats {
 /// `counts`. Zero-count entries contribute nothing; all-zero input yields 0.
 [[nodiscard]] double entropy_bits(std::span<const std::size_t> counts);
 
-/// Entropy of an explicit probability vector (entries must be >= 0; they are
-/// normalized internally so slightly unnormalized input is tolerated).
-[[nodiscard]] double entropy_bits_p(std::span<const double> probabilities);
-
-/// Normalized entropy in [0, 1]: entropy / log2(#nonzero categories).
-/// Returns 0 when there are fewer than 2 non-zero categories.
-[[nodiscard]] double normalized_entropy(std::span<const std::size_t> counts);
-
 }  // namespace geovalid::stats

@@ -5,43 +5,6 @@
 
 namespace geovalid::stats {
 
-LinearHistogram::LinearHistogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0) {
-  if (!(hi > lo) || bins == 0) {
-    throw std::invalid_argument("LinearHistogram: need hi > lo and bins > 0");
-  }
-}
-
-void LinearHistogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  auto idx = static_cast<std::size_t>((x - lo_) / width_);
-  if (idx >= counts_.size()) idx = counts_.size() - 1;  // fp edge at hi
-  ++counts_[idx];
-}
-
-void LinearHistogram::add_all(std::span<const double> xs) {
-  for (double x : xs) add(x);
-}
-
-Bin LinearHistogram::bin(std::size_t i) const {
-  return Bin{lo_ + width_ * static_cast<double>(i),
-             lo_ + width_ * static_cast<double>(i + 1), counts_.at(i)};
-}
-
-double LinearHistogram::fraction(std::size_t i) const {
-  if (total_ == 0) return 0.0;
-  return static_cast<double>(counts_.at(i)) / static_cast<double>(total_);
-}
-
 LogHistogram::LogHistogram(double lo, double hi, std::size_t bins)
     : counts_(bins, 0) {
   if (!(lo > 0.0) || !(hi > lo) || bins == 0) {
@@ -64,10 +27,6 @@ void LogHistogram::add(double x) {
     return;
   }
   ++counts_[static_cast<std::size_t>(pos)];
-}
-
-void LogHistogram::add_all(std::span<const double> xs) {
-  for (double x : xs) add(x);
 }
 
 Bin LogHistogram::bin(std::size_t i) const {
@@ -96,22 +55,6 @@ std::vector<PdfPoint> log_binned_pdf(std::span<const double> xs, double lo,
     pdf.push_back(PdfPoint{std::sqrt(b.lo * b.hi), mass / width});
   }
   return pdf;
-}
-
-std::vector<CategoryCount> to_percentages(
-    std::span<const std::pair<std::string, std::size_t>> counts) {
-  std::size_t total = 0;
-  for (const auto& [label, n] : counts) total += n;
-
-  std::vector<CategoryCount> out;
-  out.reserve(counts.size());
-  for (const auto& [label, n] : counts) {
-    const double pct =
-        total == 0 ? 0.0
-                   : 100.0 * static_cast<double>(n) / static_cast<double>(total);
-    out.push_back(CategoryCount{label, n, pct});
-  }
-  return out;
 }
 
 }  // namespace geovalid::stats

@@ -1,11 +1,9 @@
-// Linear and logarithmic histograms, plus PDF estimation on log-spaced bins
-// (the representation behind the paper's Figure 7 PDFs and the Figure 4
-// category breakdown).
+// A logarithmic histogram and PDF estimation on log-spaced bins (the
+// representation behind the paper's Figure 7 PDFs).
 #pragma once
 
 #include <cstddef>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace geovalid::stats {
@@ -17,35 +15,6 @@ struct Bin {
   std::size_t count = 0;
 };
 
-/// Fixed-width linear histogram over [lo, hi). Out-of-range samples are
-/// counted in underflow/overflow rather than dropped silently.
-class LinearHistogram {
- public:
-  LinearHistogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  void add_all(std::span<const double> xs);
-
-  [[nodiscard]] std::size_t bin_count() const { return counts_.size(); }
-  [[nodiscard]] Bin bin(std::size_t i) const;
-  [[nodiscard]] std::size_t total() const { return total_; }
-  [[nodiscard]] std::size_t underflow() const { return underflow_; }
-  [[nodiscard]] std::size_t overflow() const { return overflow_; }
-
-  /// Fraction of all added samples falling in bin i (including under/over
-  /// flow in the denominator).
-  [[nodiscard]] double fraction(std::size_t i) const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::size_t> counts_;
-  std::size_t underflow_ = 0;
-  std::size_t overflow_ = 0;
-  std::size_t total_ = 0;
-};
-
 /// Log-spaced histogram over [lo, hi), lo > 0. Samples <= 0 count as
 /// underflow.
 class LogHistogram {
@@ -53,7 +22,6 @@ class LogHistogram {
   LogHistogram(double lo, double hi, std::size_t bins);
 
   void add(double x);
-  void add_all(std::span<const double> xs);
 
   [[nodiscard]] std::size_t bin_count() const { return counts_.size(); }
   [[nodiscard]] Bin bin(std::size_t i) const;
@@ -83,17 +51,5 @@ struct PdfPoint {
 [[nodiscard]] std::vector<PdfPoint> log_binned_pdf(std::span<const double> xs,
                                                    double lo, double hi,
                                                    std::size_t bins);
-
-/// A labelled categorical count, e.g. missing checkins per POI category
-/// (Figure 4).
-struct CategoryCount {
-  std::string label;
-  std::size_t count = 0;
-  double percent = 0.0;  ///< of the sum over all categories
-};
-
-/// Converts raw counts into CategoryCounts with percentages.
-[[nodiscard]] std::vector<CategoryCount> to_percentages(
-    std::span<const std::pair<std::string, std::size_t>> counts);
 
 }  // namespace geovalid::stats

@@ -31,24 +31,4 @@ double ks_two_sample(std::span<const double> a, std::span<const double> b) {
   return worst;
 }
 
-double ks_p_value(double ks_stat, std::size_t n1, std::size_t n2) {
-  const double n1d = static_cast<double>(n1);
-  const double n2d = static_cast<double>(n2);
-  const double en = std::sqrt(n1d * n2d / (n1d + n2d));
-  const double lambda = (en + 0.12 + 0.11 / en) * ks_stat;
-
-  // Kolmogorov distribution tail sum; converges fast for lambda > 0.3.
-  double sum = 0.0;
-  double sign = 1.0;
-  for (int j = 1; j <= 100; ++j) {
-    const double term = std::exp(-2.0 * lambda * lambda *
-                                 static_cast<double>(j) *
-                                 static_cast<double>(j));
-    sum += sign * term;
-    if (term < 1e-12) break;
-    sign = -sign;
-  }
-  return std::clamp(2.0 * sum, 0.0, 1.0);
-}
-
 }  // namespace geovalid::stats

@@ -13,8 +13,4 @@ namespace geovalid::stats {
 [[nodiscard]] double ks_two_sample(std::span<const double> a,
                                    std::span<const double> b);
 
-/// Asymptotic p-value for the two-sample KS statistic (Smirnov's formula).
-/// Small p means the samples likely come from different distributions.
-[[nodiscard]] double ks_p_value(double ks_stat, std::size_t n1, std::size_t n2);
-
 }  // namespace geovalid::stats

@@ -6,8 +6,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "stats/ecdf.h"
-
 namespace geovalid::stats {
 
 double pareto_pdf(const ParetoParams& p, double x) {
@@ -25,11 +23,6 @@ double pareto_quantile(const ParetoParams& p, double u) {
     throw std::invalid_argument("pareto_quantile: u not in [0,1)");
   }
   return p.x_min * std::pow(1.0 - u, -1.0 / p.alpha);
-}
-
-double pareto_mean(const ParetoParams& p) {
-  if (p.alpha <= 1.0) return std::numeric_limits<double>::infinity();
-  return p.alpha * p.x_min / (p.alpha - 1.0);
 }
 
 namespace {
@@ -83,47 +76,6 @@ ParetoFit fit_pareto(std::span<const double> xs, double x_min) {
                        n * fit.params.alpha * std::log(x_min) -
                        (fit.params.alpha + 1.0) * (log_sum + n * std::log(x_min));
   return fit;
-}
-
-ParetoFit fit_pareto_auto(std::span<const double> xs, std::size_t grid) {
-  std::vector<double> positive;
-  positive.reserve(xs.size());
-  for (double x : xs) {
-    if (x > 0.0) positive.push_back(x);
-  }
-  if (positive.size() < 8) {
-    throw std::invalid_argument("fit_pareto_auto: need at least 8 positive samples");
-  }
-  std::sort(positive.begin(), positive.end());
-
-  // Candidate x_min values: log-spaced between min and the 90th percentile
-  // (leaving at least 10% of mass in the tail keeps the alpha estimate sane).
-  const double lo = positive.front();
-  const double hi = positive[positive.size() * 9 / 10];
-  std::vector<double> candidates;
-  if (hi > lo && grid >= 2) {
-    candidates = log_grid(lo, hi, grid);
-  } else {
-    candidates = {lo};
-  }
-
-  ParetoFit best;
-  best.ks_stat = std::numeric_limits<double>::infinity();
-  for (double x_min : candidates) {
-    // Require a minimum tail size so KS over a handful of points cannot win.
-    std::size_t tail_n = positive.size() -
-        static_cast<std::size_t>(std::lower_bound(positive.begin(),
-                                                  positive.end(), x_min) -
-                                 positive.begin());
-    if (tail_n < std::max<std::size_t>(8, positive.size() / 20)) continue;
-    const ParetoFit fit = fit_pareto(positive, x_min);
-    if (fit.ks_stat < best.ks_stat) best = fit;
-  }
-  if (!std::isfinite(best.ks_stat)) {
-    // All candidates were rejected (tiny sample): fall back to full-sample fit.
-    best = fit_pareto(positive, lo);
-  }
-  return best;
 }
 
 }  // namespace geovalid::stats

@@ -26,9 +26,6 @@ struct ParetoParams {
 /// Quantile function; u in [0, 1). Throws std::invalid_argument otherwise.
 [[nodiscard]] double pareto_quantile(const ParetoParams& p, double u);
 
-/// Mean of the distribution; +inf when alpha <= 1.
-[[nodiscard]] double pareto_mean(const ParetoParams& p);
-
 /// Result of a maximum-likelihood Pareto fit.
 struct ParetoFit {
   ParetoParams params;
@@ -42,11 +39,5 @@ struct ParetoFit {
 /// Throws std::invalid_argument when fewer than 2 samples lie in the tail
 /// or x_min <= 0.
 [[nodiscard]] ParetoFit fit_pareto(std::span<const double> xs, double x_min);
-
-/// Clauset-style fit: scans candidate x_min values over the sample's support
-/// and returns the fit minimizing the KS distance. `grid` caps the number of
-/// candidates scanned (log-spaced over the positive sample range).
-[[nodiscard]] ParetoFit fit_pareto_auto(std::span<const double> xs,
-                                        std::size_t grid = 32);
 
 }  // namespace geovalid::stats

@@ -43,11 +43,6 @@ double Rng::normal(double mean, double sigma) {
   return std::normal_distribution<double>(mean, sigma)(engine_);
 }
 
-double Rng::exponential(double mean) {
-  if (!(mean > 0.0)) throw std::invalid_argument("Rng::exponential: mean <= 0");
-  return std::exponential_distribution<double>(1.0 / mean)(engine_);
-}
-
 std::uint64_t Rng::poisson(double mean) {
   if (mean < 0.0) throw std::invalid_argument("Rng::poisson: mean < 0");
   if (mean == 0.0) return 0;

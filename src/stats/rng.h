@@ -36,9 +36,6 @@ class Rng {
   /// Normal draw with the given mean and standard deviation (sigma >= 0).
   [[nodiscard]] double normal(double mean, double sigma);
 
-  /// Exponential draw with the given mean (> 0).
-  [[nodiscard]] double exponential(double mean);
-
   /// Poisson draw with the given mean (>= 0).
   [[nodiscard]] std::uint64_t poisson(double mean);
 

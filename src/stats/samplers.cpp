@@ -45,10 +45,9 @@ double ZipfSampler::pmf(std::size_t rank) const {
   return cdf_[rank] - prev;
 }
 
-DiscreteSampler::DiscreteSampler(std::vector<double> weights)
-    : weights_(std::move(weights)) {
-  cdf_.reserve(weights_.size());
-  for (double w : weights_) {
+DiscreteSampler::DiscreteSampler(std::vector<double> weights) {
+  cdf_.reserve(weights.size());
+  for (double w : weights) {
     if (w < 0.0) throw std::invalid_argument("DiscreteSampler: negative weight");
     total_ += w;
     cdf_.push_back(total_);
@@ -63,29 +62,6 @@ std::size_t DiscreteSampler::sample(Rng& rng) const {
   const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
   return std::min(static_cast<std::size_t>(it - cdf_.begin()),
                   cdf_.size() - 1);
-}
-
-double DiscreteSampler::probability(std::size_t i) const {
-  if (i >= weights_.size()) return 0.0;
-  return weights_[i] / total_;
-}
-
-double sample_truncated_normal(Rng& rng, double mean, double sigma, double lo,
-                               double hi) {
-  if (hi < lo) throw std::invalid_argument("sample_truncated_normal: hi < lo");
-  if (sigma <= 0.0) return std::clamp(mean, lo, hi);
-  for (int attempt = 0; attempt < 64; ++attempt) {
-    const double x = rng.normal(mean, sigma);
-    if (x >= lo && x <= hi) return x;
-  }
-  return std::clamp(mean, lo, hi);
-}
-
-double sample_lognormal_median(Rng& rng, double median, double sigma) {
-  if (!(median > 0.0)) {
-    throw std::invalid_argument("sample_lognormal_median: median <= 0");
-  }
-  return median * std::exp(rng.normal(0.0, sigma));
 }
 
 }  // namespace geovalid::stats

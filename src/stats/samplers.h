@@ -48,24 +48,10 @@ class DiscreteSampler {
 
   [[nodiscard]] std::size_t sample(Rng& rng) const;
   [[nodiscard]] std::size_t size() const { return cdf_.size(); }
-  [[nodiscard]] double probability(std::size_t i) const;
 
  private:
   std::vector<double> cdf_;
   double total_ = 0.0;
-  std::vector<double> weights_;
 };
-
-/// Normal draw truncated to [lo, hi] by rejection (falls back to clamping
-/// after a bounded number of rejections, which only triggers when the window
-/// is many sigma away from the mean).
-[[nodiscard]] double sample_truncated_normal(Rng& rng, double mean,
-                                             double sigma, double lo,
-                                             double hi);
-
-/// Log-normal draw parameterized by the *median* and the sigma of the
-/// underlying normal — more intuitive for dwell times than mu/sigma.
-[[nodiscard]] double sample_lognormal_median(Rng& rng, double median,
-                                             double sigma);
 
 }  // namespace geovalid::stats

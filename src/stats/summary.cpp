@@ -38,34 +38,6 @@ double quantile(std::span<const double> xs, double p) {
   return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
-std::vector<double> quantiles(std::span<const double> xs,
-                              std::span<const double> ps) {
-  if (xs.empty()) throw std::invalid_argument("quantiles: empty sample");
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-
-  std::vector<double> out;
-  out.reserve(ps.size());
-  for (double p : ps) {
-    if (p < 0.0 || p > 1.0) {
-      throw std::invalid_argument("quantiles: p not in [0,1]");
-    }
-    const double pos = p * static_cast<double>(sorted.size() - 1);
-    const auto lo = static_cast<std::size_t>(std::floor(pos));
-    const auto hi = static_cast<std::size_t>(std::ceil(pos));
-    const double frac = pos - static_cast<double>(lo);
-    out.push_back(sorted[lo] + frac * (sorted[hi] - sorted[lo]));
-  }
-  return out;
-}
-
-double mean(std::span<const double> xs) {
-  if (xs.empty()) return 0.0;
-  double sum = 0.0;
-  for (double x : xs) sum += x;
-  return sum / static_cast<double>(xs.size());
-}
-
 void RunningStats::add(double x) {
   if (n_ == 0) {
     min_ = max_ = x;

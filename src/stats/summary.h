@@ -27,13 +27,6 @@ struct Summary {
 /// an empty sample or p outside [0, 1].
 [[nodiscard]] double quantile(std::span<const double> xs, double p);
 
-/// Convenience: several quantiles in one sort.
-[[nodiscard]] std::vector<double> quantiles(std::span<const double> xs,
-                                            std::span<const double> ps);
-
-/// Arithmetic mean; 0 for an empty sample.
-[[nodiscard]] double mean(std::span<const double> xs);
-
 /// Streaming mean/variance accumulator (Welford). Suitable for the
 /// million-point GPS traces where materializing a copy is wasteful.
 class RunningStats {

@@ -70,16 +70,6 @@ geo::LatLon true_position(const CityView& city, const Itinerary& it,
 
 }  // namespace
 
-std::string_view to_string(TrueBehavior b) {
-  switch (b) {
-    case TrueBehavior::kHonest: return "honest";
-    case TrueBehavior::kSuperfluous: return "superfluous";
-    case TrueBehavior::kRemote: return "remote";
-    case TrueBehavior::kDriveby: return "driveby";
-  }
-  return "?";
-}
-
 std::vector<LabeledCheckin> generate_checkins(
     const StudyConfig& config, const CityView& city, const Persona& persona,
     const Itinerary& itinerary, const MovementResult& movement,

@@ -31,8 +31,6 @@ enum class TrueBehavior : std::uint8_t {
   kDriveby,
 };
 
-[[nodiscard]] std::string_view to_string(TrueBehavior b);
-
 /// A checkin paired with its ground-truth label.
 struct LabeledCheckin {
   trace::Checkin checkin;

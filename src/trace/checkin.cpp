@@ -36,16 +36,4 @@ std::vector<double> CheckinTrace::interarrival_minutes() const {
   return gaps;
 }
 
-std::vector<double> interarrival_minutes(std::span<const TimeSec> times) {
-  std::vector<TimeSec> sorted(times.begin(), times.end());
-  std::sort(sorted.begin(), sorted.end());
-  std::vector<double> gaps;
-  if (sorted.size() < 2) return gaps;
-  gaps.reserve(sorted.size() - 1);
-  for (std::size_t i = 1; i < sorted.size(); ++i) {
-    gaps.push_back(to_minutes(sorted[i] - sorted[i - 1]));
-  }
-  return gaps;
-}
-
 }  // namespace geovalid::trace

@@ -44,9 +44,4 @@ class CheckinTrace {
   std::vector<Checkin> events_;
 };
 
-/// Inter-arrival gaps (fractional minutes) of an arbitrary timestamp
-/// sequence; the sequence is sorted internally.
-[[nodiscard]] std::vector<double> interarrival_minutes(
-    std::span<const TimeSec> times);
-
 }  // namespace geovalid::trace

@@ -7,15 +7,6 @@
 
 namespace geovalid::trace {
 
-std::vector<double> checkin_interarrivals_min(const Dataset& ds) {
-  std::vector<double> pooled;
-  for (const UserRecord& u : ds.users()) {
-    const auto gaps = u.checkins.interarrival_minutes();
-    pooled.insert(pooled.end(), gaps.begin(), gaps.end());
-  }
-  return pooled;
-}
-
 std::vector<double> visit_interarrivals_min(const Dataset& ds) {
   std::vector<double> pooled;
   for (const UserRecord& u : ds.users()) {

@@ -13,9 +13,6 @@
 
 namespace geovalid::trace {
 
-/// Inter-arrival gaps (minutes) of all checkin events, pooled across users.
-[[nodiscard]] std::vector<double> checkin_interarrivals_min(const Dataset& ds);
-
 /// Inter-arrival gaps (minutes) between consecutive GPS visits, pooled
 /// across users (gap = next.start - prev.end).
 [[nodiscard]] std::vector<double> visit_interarrivals_min(const Dataset& ds);

@@ -35,15 +35,14 @@ HashRing make_ring(const std::vector<std::string>& names) {
   return ring;
 }
 
-TEST(ClusterRing, RejectsEmptyDuplicateAndAbsentNames) {
+TEST(ClusterRing, RejectsEmptyAndDuplicateNames) {
   HashRing ring;
   EXPECT_THROW(ring.add_backend(""), std::invalid_argument);
   ring.add_backend("a");
   EXPECT_THROW(ring.add_backend("a"), std::invalid_argument);
-  EXPECT_THROW(ring.remove_backend("b"), std::invalid_argument);
-  ring.remove_backend("a");
-  EXPECT_EQ(ring.size(), 0u);
-  EXPECT_THROW(ring.owner_index(1), std::logic_error);
+  EXPECT_EQ(ring.size(), 1u);
+  const HashRing empty;
+  EXPECT_THROW(empty.owner_index(1), std::logic_error);
 }
 
 TEST(ClusterRing, LoadStaysBalancedFromTwoToSixteenBackends) {
@@ -88,10 +87,12 @@ TEST(ClusterRing, AddingABackendMovesOnlyItsShare) {
 }
 
 TEST(ClusterRing, RemovingABackendStrandsOnlyItsUsers) {
+  // The router's case: the same --backend list without backend-2.
   const std::vector<std::string> names = backend_names(5);
+  std::vector<std::string> survivors = names;
+  std::erase(survivors, "backend-2");
   const HashRing before = make_ring(names);
-  HashRing after = make_ring(names);
-  after.remove_backend("backend-2");
+  const HashRing after = make_ring(survivors);
 
   std::size_t moved = 0;
   for (trace::UserId u = 0; u < kUsers; ++u) {

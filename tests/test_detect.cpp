@@ -23,18 +23,14 @@ TEST(Features, NamesMatchCount) {
 }
 
 TEST(Features, OnePerCheckin) {
-  const auto& a = tiny();
-  const auto all = extract_features(a.dataset);
-  ASSERT_EQ(all.size(), a.dataset.user_count());
-  for (std::size_t u = 0; u < all.size(); ++u) {
-    EXPECT_EQ(all[u].size(), a.dataset.users()[u].checkins.size());
+  for (const trace::UserRecord& u : tiny().dataset.users()) {
+    EXPECT_EQ(extract_features(u).size(), u.checkins.size());
   }
 }
 
 TEST(Features, ValuesAreFinite) {
-  const auto& a = tiny();
-  for (const auto& user_features : extract_features(a.dataset)) {
-    for (const FeatureVector& f : user_features) {
+  for (const trace::UserRecord& u : tiny().dataset.users()) {
+    for (const FeatureVector& f : extract_features(u)) {
       for (double v : f) EXPECT_TRUE(std::isfinite(v));
     }
   }

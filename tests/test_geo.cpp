@@ -5,12 +5,9 @@
 #include <limits>
 #include <random>
 #include <utility>
-#include <vector>
 
-#include "geo/bbox.h"
 #include "geo/geodesic.h"
 #include "geo/latlon.h"
-#include "geo/projection.h"
 
 namespace geovalid::geo {
 namespace {
@@ -250,96 +247,8 @@ TEST(Geodesic, DestinationRoundTrip) {
   }
 }
 
-TEST(Geodesic, InitialBearingCardinalDirections) {
-  const LatLon origin{0.0, 0.0};
-  EXPECT_NEAR(initial_bearing_deg(origin, LatLon{1.0, 0.0}), 0.0, 0.01);
-  EXPECT_NEAR(initial_bearing_deg(origin, LatLon{0.0, 1.0}), 90.0, 0.01);
-  EXPECT_NEAR(initial_bearing_deg(origin, LatLon{-1.0, 0.0}), 180.0, 0.01);
-  EXPECT_NEAR(initial_bearing_deg(origin, LatLon{0.0, -1.0}), 270.0, 0.01);
-}
-
-TEST(Geodesic, SpeedComputation) {
-  const LatLon a{0.0, 0.0};
-  const LatLon b = destination(a, 90.0, 600.0);
-  EXPECT_NEAR(speed_mps(a, b, 60.0), 10.0, 0.05);
-  EXPECT_DOUBLE_EQ(speed_mps(a, b, 0.0), 0.0);
-  EXPECT_DOUBLE_EQ(speed_mps(a, b, -5.0), 0.0);
-}
-
 TEST(Geodesic, MphConversionRoundTrip) {
   EXPECT_NEAR(mph_to_mps(4.0), 1.78816, 1e-9);
-  EXPECT_NEAR(mps_to_mph(mph_to_mps(12.5)), 12.5, 1e-9);
-}
-
-TEST(BBox, BoundingBoxOfPoints) {
-  const std::vector<LatLon> pts{{1.0, 2.0}, {-1.0, 5.0}, {0.5, -3.0}};
-  const auto box = bounding_box(pts);
-  ASSERT_TRUE(box.has_value());
-  EXPECT_DOUBLE_EQ(box->min_lat_deg, -1.0);
-  EXPECT_DOUBLE_EQ(box->max_lat_deg, 1.0);
-  EXPECT_DOUBLE_EQ(box->min_lon_deg, -3.0);
-  EXPECT_DOUBLE_EQ(box->max_lon_deg, 5.0);
-}
-
-TEST(BBox, EmptyRangeHasNoBox) {
-  const std::vector<LatLon> none;
-  EXPECT_FALSE(bounding_box(none).has_value());
-}
-
-TEST(BBox, ContainsEdgesInclusive) {
-  const BBox box{0.0, 0.0, 1.0, 1.0};
-  EXPECT_TRUE(contains(box, LatLon{0.0, 0.0}));
-  EXPECT_TRUE(contains(box, LatLon{1.0, 1.0}));
-  EXPECT_TRUE(contains(box, LatLon{0.5, 0.5}));
-  EXPECT_FALSE(contains(box, LatLon{1.0001, 0.5}));
-  EXPECT_FALSE(contains(box, LatLon{0.5, -0.0001}));
-}
-
-TEST(BBox, ExpansionGrowsByMargin) {
-  const BBox box{10.0, 10.0, 10.0, 10.0};
-  const BBox grown = expanded(box, 1000.0);
-  EXPECT_TRUE(contains(grown, destination(LatLon{10.0, 10.0}, 0.0, 990.0)));
-  EXPECT_TRUE(contains(grown, destination(LatLon{10.0, 10.0}, 90.0, 990.0)));
-  EXPECT_FALSE(contains(grown, destination(LatLon{10.0, 10.0}, 0.0, 1100.0)));
-}
-
-TEST(BBox, CenterAndDiagonal) {
-  const BBox box{0.0, 0.0, 2.0, 2.0};
-  const LatLon c = center(box);
-  EXPECT_DOUBLE_EQ(c.lat_deg, 1.0);
-  EXPECT_DOUBLE_EQ(c.lon_deg, 1.0);
-  EXPECT_NEAR(diagonal_m(box),
-              distance_m(LatLon{0.0, 0.0}, LatLon{2.0, 2.0}), 1e-6);
-}
-
-TEST(Projection, RoundTripIsIdentity) {
-  const LocalProjection proj(LatLon{kSB_lat, kSB_lon});
-  for (double bearing : {0.0, 77.0, 191.0, 305.0}) {
-    const LatLon p = destination(proj.origin(), bearing, 8000.0);
-    const LatLon back = proj.to_geo(proj.to_plane(p));
-    EXPECT_NEAR(back.lat_deg, p.lat_deg, 1e-9);
-    EXPECT_NEAR(back.lon_deg, p.lon_deg, 1e-9);
-  }
-}
-
-TEST(Projection, PreservesDistancesAtCityScale) {
-  const LocalProjection proj(LatLon{kSB_lat, kSB_lon});
-  const LatLon a = destination(proj.origin(), 45.0, 3000.0);
-  const LatLon b = destination(proj.origin(), 250.0, 7000.0);
-  const double geo_d = distance_m(a, b);
-  const double plane_d = plane_distance_m(proj.to_plane(a), proj.to_plane(b));
-  EXPECT_NEAR(plane_d, geo_d, geo_d * 0.005);
-}
-
-TEST(Projection, RejectsInvalidOrigin) {
-  EXPECT_THROW(LocalProjection(LatLon{200.0, 0.0}), std::invalid_argument);
-}
-
-TEST(Projection, OriginMapsToPlaneOrigin) {
-  const LocalProjection proj(LatLon{kSB_lat, kSB_lon});
-  const PlanePoint p = proj.to_plane(proj.origin());
-  EXPECT_DOUBLE_EQ(p.x_m, 0.0);
-  EXPECT_DOUBLE_EQ(p.y_m, 0.0);
 }
 
 }  // namespace

@@ -57,17 +57,6 @@ TEST(Ecdf, InverseRoundTripProperty) {
   }
 }
 
-TEST(Ecdf, EvaluateMatchesAt) {
-  const std::vector<double> xs{1.0, 5.0, 9.0};
-  const Ecdf e(xs);
-  const std::vector<double> grid{0.0, 1.0, 5.0, 100.0};
-  const auto vals = e.evaluate(grid);
-  ASSERT_EQ(vals.size(), grid.size());
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    EXPECT_DOUBLE_EQ(vals[i], e.at(grid[i]));
-  }
-}
-
 TEST(CdfSeries, PercentScaleAndName) {
   const std::vector<double> xs{1.0, 2.0};
   const Ecdf e(xs);

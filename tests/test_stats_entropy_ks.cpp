@@ -28,26 +28,6 @@ TEST(Entropy, KnownBinarySplit) {
   EXPECT_NEAR(entropy_bits(counts), 0.8112781245, 1e-9);
 }
 
-TEST(Entropy, ProbabilityVectorVariant) {
-  const std::vector<double> p{0.25, 0.25, 0.25, 0.25};
-  EXPECT_NEAR(entropy_bits_p(p), 2.0, 1e-12);
-  // Unnormalized input tolerated.
-  const std::vector<double> q{1.0, 1.0};
-  EXPECT_NEAR(entropy_bits_p(q), 1.0, 1e-12);
-  const std::vector<double> bad{0.5, -0.1};
-  EXPECT_THROW(entropy_bits_p(bad), std::invalid_argument);
-}
-
-TEST(Entropy, NormalizedBounds) {
-  const std::vector<std::size_t> uniform{5, 5, 5, 5, 5};
-  EXPECT_NEAR(normalized_entropy(uniform), 1.0, 1e-12);
-  const std::vector<std::size_t> skewed{100, 1};
-  EXPECT_GT(normalized_entropy(skewed), 0.0);
-  EXPECT_LT(normalized_entropy(skewed), 0.2);
-  const std::vector<std::size_t> single{7};
-  EXPECT_DOUBLE_EQ(normalized_entropy(single), 0.0);
-}
-
 TEST(Ks, IdenticalSamplesHaveZeroDistance) {
   const std::vector<double> xs{1.0, 2.0, 3.0, 4.0};
   EXPECT_DOUBLE_EQ(ks_two_sample(xs, xs), 0.0);
@@ -81,7 +61,6 @@ TEST(Ks, SameDistributionHasSmallStatAndLargePValue) {
   }
   const double d = ks_two_sample(a, b);
   EXPECT_LT(d, 0.05);
-  EXPECT_GT(ks_p_value(d, a.size(), b.size()), 0.01);
 }
 
 TEST(Ks, DifferentDistributionsHaveTinyPValue) {
@@ -93,7 +72,6 @@ TEST(Ks, DifferentDistributionsHaveTinyPValue) {
   }
   const double d = ks_two_sample(a, b);
   EXPECT_GT(d, 0.25);
-  EXPECT_LT(ks_p_value(d, a.size(), b.size()), 1e-6);
 }
 
 }  // namespace

@@ -1,57 +1,13 @@
-// Unit tests for histograms and log-binned PDF estimation.
+// Unit tests for the log histogram and log-binned PDF estimation.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <utility>
 #include <vector>
 
 #include "stats/histogram.h"
 
 namespace geovalid::stats {
 namespace {
-
-TEST(LinearHistogram, BinAssignment) {
-  LinearHistogram h(0.0, 10.0, 10);
-  h.add(0.0);
-  h.add(0.5);
-  h.add(9.99);
-  h.add(5.0);
-  EXPECT_EQ(h.bin(0).count, 2u);
-  EXPECT_EQ(h.bin(9).count, 1u);
-  EXPECT_EQ(h.bin(5).count, 1u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.underflow(), 0u);
-  EXPECT_EQ(h.overflow(), 0u);
-}
-
-TEST(LinearHistogram, UnderOverflowCounted) {
-  LinearHistogram h(0.0, 1.0, 2);
-  h.add(-0.1);
-  h.add(1.0);  // hi edge is exclusive
-  h.add(2.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(LinearHistogram, FractionIncludesOutOfRangeInDenominator) {
-  LinearHistogram h(0.0, 1.0, 1);
-  h.add(0.5);
-  h.add(5.0);
-  EXPECT_DOUBLE_EQ(h.fraction(0), 0.5);
-}
-
-TEST(LinearHistogram, BinEdges) {
-  LinearHistogram h(2.0, 4.0, 4);
-  const Bin b = h.bin(1);
-  EXPECT_DOUBLE_EQ(b.lo, 2.5);
-  EXPECT_DOUBLE_EQ(b.hi, 3.0);
-}
-
-TEST(LinearHistogram, RejectsBadConstruction) {
-  EXPECT_THROW(LinearHistogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(LinearHistogram(0.0, 1.0, 0), std::invalid_argument);
-}
 
 TEST(LogHistogram, GeometricBins) {
   LogHistogram h(1.0, 1000.0, 3);  // decades
@@ -106,25 +62,6 @@ TEST(LogBinnedPdf, IntegratesToOne) {
 TEST(LogBinnedPdf, EmptyForNonPositiveData) {
   const std::vector<double> xs{-1.0, 0.0};
   EXPECT_TRUE(log_binned_pdf(xs, 0.1, 10.0, 4).empty());
-}
-
-TEST(CategoryPercentages, SumTo100) {
-  const std::vector<std::pair<std::string, std::size_t>> counts{
-      {"a", 10}, {"b", 30}, {"c", 60}};
-  const auto pct = to_percentages(counts);
-  ASSERT_EQ(pct.size(), 3u);
-  EXPECT_DOUBLE_EQ(pct[0].percent, 10.0);
-  EXPECT_DOUBLE_EQ(pct[1].percent, 30.0);
-  EXPECT_DOUBLE_EQ(pct[2].percent, 60.0);
-  EXPECT_EQ(pct[2].label, "c");
-}
-
-TEST(CategoryPercentages, AllZeroIsAllZeroPercent) {
-  const std::vector<std::pair<std::string, std::size_t>> counts{{"a", 0},
-                                                                {"b", 0}};
-  const auto pct = to_percentages(counts);
-  EXPECT_DOUBLE_EQ(pct[0].percent, 0.0);
-  EXPECT_DOUBLE_EQ(pct[1].percent, 0.0);
 }
 
 }  // namespace

@@ -59,18 +59,6 @@ TEST(Quantile, RejectsBadArguments) {
   EXPECT_THROW(quantile(xs, 1.1), std::invalid_argument);
 }
 
-TEST(Quantiles, MultipleAtOnceMatchSingles) {
-  const std::vector<double> xs{5.0, 1.0, 9.0, 3.0, 7.0};
-  const std::vector<double> ps{0.0, 0.25, 0.5, 0.75, 1.0};
-  const auto qs = quantiles(xs, ps);
-  ASSERT_EQ(qs.size(), ps.size());
-  for (std::size_t i = 0; i < ps.size(); ++i) {
-    EXPECT_DOUBLE_EQ(qs[i], quantile(xs, ps[i])) << "p=" << ps[i];
-  }
-}
-
-TEST(Mean, EmptyIsZero) { EXPECT_DOUBLE_EQ(mean({}), 0.0); }
-
 TEST(RunningStats, MatchesBatchSummary) {
   const std::vector<double> xs{3.1, -2.0, 7.7, 0.0, 12.4, -5.5, 3.1};
   RunningStats rs;

@@ -248,10 +248,5 @@ TEST(StudyGenerator, BaselineHasFarFewerExtraneous) {
   EXPECT_LT(extraneous_truth_ratio(b), 0.15);
 }
 
-TEST(StudyGenerator, TrueBehaviorNames) {
-  EXPECT_EQ(to_string(TrueBehavior::kHonest), "honest");
-  EXPECT_EQ(to_string(TrueBehavior::kDriveby), "driveby");
-}
-
 }  // namespace
 }  // namespace geovalid::synth

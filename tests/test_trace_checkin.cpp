@@ -48,13 +48,5 @@ TEST(CheckinTrace, InterarrivalMinutes) {
   EXPECT_TRUE(CheckinTrace({ck(5)}).interarrival_minutes().empty());
 }
 
-TEST(InterarrivalFreeFunction, SortsInput) {
-  const std::vector<TimeSec> times{600, 0, 120};
-  const auto gaps = interarrival_minutes(times);
-  ASSERT_EQ(gaps.size(), 2u);
-  EXPECT_DOUBLE_EQ(gaps[0], 2.0);
-  EXPECT_DOUBLE_EQ(gaps[1], 8.0);
-}
-
 }  // namespace
 }  // namespace geovalid::trace

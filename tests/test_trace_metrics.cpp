@@ -74,13 +74,6 @@ TEST(Dataset, FindUser) {
   EXPECT_EQ(ds.find_user(2), nullptr);
 }
 
-TEST(TraceMetrics, CheckinInterarrivals) {
-  const auto gaps = checkin_interarrivals_min(toy_dataset());
-  ASSERT_EQ(gaps.size(), 2u);
-  EXPECT_DOUBLE_EQ(gaps[0], 10.0);
-  EXPECT_DOUBLE_EQ(gaps[1], 10.0);
-}
-
 TEST(TraceMetrics, VisitInterarrivals) {
   const auto gaps = visit_interarrivals_min(toy_dataset());
   ASSERT_EQ(gaps.size(), 1u);
