@@ -149,10 +149,13 @@ std::string render(const FamilyMap& families, std::string_view prefix,
 }
 
 /// Minimal recursive-descent scan of a JSON object tree, collecting
-/// numeric leaves. Only the grammar serve emits is accepted.
+/// numeric (and, when asked, string) leaves. Only the grammar serve emits
+/// is accepted.
 class JsonScanner {
  public:
-  explicit JsonScanner(std::string_view text) : text_(text) {}
+  JsonScanner(std::string_view text,
+              std::vector<std::pair<std::string, std::string>>* strings)
+      : text_(text), strings_(strings) {}
 
   std::vector<std::pair<std::string, double>> run() {
     skip_ws();
@@ -229,7 +232,8 @@ class JsonScanner {
     if (c == '{') {
       object(path);
     } else if (c == '"') {
-      (void)string_token();
+      std::string s = string_token();
+      if (strings_ != nullptr) strings_->emplace_back(path, std::move(s));
     } else if (c == '[') {
       fail("arrays are not supported");
     } else if (c == 't' || c == 'f' || c == 'n') {
@@ -251,6 +255,7 @@ class JsonScanner {
   }
 
   std::string_view text_;
+  std::vector<std::pair<std::string, std::string>>* strings_;
   std::size_t pos_ = 0;
   std::vector<std::pair<std::string, double>> out_;
 };
@@ -278,8 +283,9 @@ std::string strip_prometheus(std::string_view text,
 }
 
 std::vector<std::pair<std::string, double>> flatten_json_numbers(
-    std::string_view json) {
-  return JsonScanner(json).run();
+    std::string_view json,
+    std::vector<std::pair<std::string, std::string>>* strings) {
+  return JsonScanner(json, strings).run();
 }
 
 std::string merge_summaries(const std::vector<std::string>& bodies) {

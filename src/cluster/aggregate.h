@@ -49,10 +49,13 @@ namespace geovalid::cluster {
                                            std::string_view family_prefix);
 
 /// Numeric leaves of a JSON object as (dotted path, value) in document
-/// order. Strings, bools and nulls are skipped; arrays are rejected with
+/// order. String leaves go to `strings` the same way when it is given;
+/// bools and nulls are skipped; arrays are rejected with
 /// std::invalid_argument, as is any malformed body.
 [[nodiscard]] std::vector<std::pair<std::string, double>>
-flatten_json_numbers(std::string_view json);
+flatten_json_numbers(
+    std::string_view json,
+    std::vector<std::pair<std::string, std::string>>* strings = nullptr);
 
 /// Merges /v1/summary bodies: every numeric field sums except
 /// prevalence.mean_extraneous_ratio (weighted by

@@ -16,20 +16,6 @@ constexpr std::size_t kCompactBytes = 256 * 1024;
 
 }  // namespace
 
-const char* to_string(BackendState state) {
-  switch (state) {
-    case BackendState::kDown:
-      return "down";
-    case BackendState::kRecovering:
-      return "recovering";
-    case BackendState::kSuspect:
-      return "suspect";
-    case BackendState::kUp:
-      return "up";
-  }
-  return "unknown";
-}
-
 serve::Fd Forwarder::dial(const BackendAddr& addr) const noexcept {
   try {
     return serve::tcp_connect_deadline(addr.host, addr.ingest_port,
@@ -41,15 +27,12 @@ serve::Fd Forwarder::dial(const BackendAddr& addr) const noexcept {
 
 bool Forwarder::adopt(serve::Fd fd) noexcept {
   text_.fd = std::move(fd);
-  if (!text_.fd.valid()) {
-    state_ = BackendState::kDown;
-    return false;
-  }
+  // Not draining yet: the controller switches once a probe passes and the
+  // replay decision (drain vs. discard the held queues) has been made.
+  sending_ = false;
+  if (!text_.fd.valid()) return false;
   if (ever_connected_) ++reconnects;
   ever_connected_ = true;
-  // Not up yet: the router promotes once a probe passes and the replay
-  // decision (drain vs. discard the held queues) has been made.
-  state_ = BackendState::kRecovering;
   return true;
 }
 
@@ -202,14 +185,15 @@ void Forwarder::sever() {
   binary_.fd.reset();
   text_.rewind();
   binary_.rewind();
-  state_ = BackendState::kDown;
+  sending_ = false;
 }
 
 bool Forwarder::drain_spool() {
-  if (binary_.records > 0 && !open_binary()) {
+  if (!connected() || (binary_.records > 0 && !open_binary())) {
     sever();
     return false;
   }
+  sending_ = true;
   return true;
 }
 
@@ -225,7 +209,7 @@ void Forwarder::close() {
   dropped += text_.clear() + binary_.clear();
   text_.fd.reset();
   binary_.fd.reset();
-  state_ = BackendState::kDown;
+  sending_ = false;
 }
 
 bool Forwarder::replace(BackendAddr addr) noexcept {

@@ -10,12 +10,13 @@
 //
 // Each channel has exactly one send queue: the bytes of its unsent
 // records, with one Pending entry per record (text) or frame (binary).
-// The per-backend health state (up → suspect → down → recovering,
-// docs/ROBUSTNESS.md) alone decides what the queue does. Up or suspect,
-// it drains non-blocking under the router's poll loop — the same wbuf
-// discipline serve uses for HTTP responses, pointed the other way. Down
-// or recovering, it holds, and the held queue is the spool the router
-// reports and budgets. sever() rewinds each queue to the first byte of
+// The backend's health controller (cluster/health.h, docs/ROBUSTNESS.md)
+// alone decides what the queue does. Switched to drain, it drains
+// non-blocking under the router's poll loop — the same wbuf discipline
+// serve uses for HTTP responses, pointed the other way. Otherwise (a new
+// connection until drain_spool(), and after every sever) it holds, and
+// the held queue is the spool the router reports and budgets. sever()
+// rewinds each queue to the first byte of
 // its oldest record, so the record the kernel accepted half of is re-sent
 // whole on the next connection: the backend dead-letters the delivered
 // fragment as truncated, then applies the whole copy exactly once.
@@ -50,38 +51,19 @@ struct BackendAddr {
   std::uint16_t http_port = 0;
 };
 
-/// Per-backend health, driven by the router's probe loop plus the
-/// forwarder's own connection events. Ordered by declining health so the
-/// exported gauge (`cluster_backend_state`) reads naturally.
-enum class BackendState : std::uint8_t {
-  kDown = 0,        ///< connection lost (or probes hard-failed); reconnecting
-  kRecovering = 1,  ///< reconnected, awaiting a passing probe + replay choice
-  kSuspect = 2,     ///< connection live but the last probe failed
-  kUp = 3,          ///< connection live, probes passing
-};
-
-[[nodiscard]] const char* to_string(BackendState state);
-
 class Forwarder {
  public:
   explicit Forwarder(BackendAddr addr) : addr_(std::move(addr)) {}
 
   /// Connects with `connect_timeout_ms` and leaves the socket
-  /// non-blocking. On success the state becomes recovering (the router
-  /// promotes to up once a probe passes and replay is settled); on
-  /// failure it stays down. Never throws.
+  /// non-blocking. On success the queues hold until drain_spool() (the
+  /// controller switches once a probe settles the replay). Never throws.
   bool connect() noexcept;
 
-  [[nodiscard]] BackendState state() const { return state_; }
   /// True while the queues drain (up or suspect — a suspect backend's
   /// connection still works; only the probe failed).
-  [[nodiscard]] bool sending() const {
-    return state_ == BackendState::kUp || state_ == BackendState::kSuspect;
-  }
+  [[nodiscard]] bool sending() const { return sending_; }
   [[nodiscard]] bool connected() const { return text_.fd.valid(); }
-
-  /// Router-driven transitions (probe results / recovery protocol).
-  void set_state(BackendState state) { state_ = state; }
 
   [[nodiscard]] const BackendAddr& addr() const { return addr_; }
   [[nodiscard]] int fd() const { return text_.fd.get(); }
@@ -126,10 +108,10 @@ class Forwarder {
   /// send failure severs.
   void flush();
 
-  /// Recovery for a backend whose process survived (same instance): the
-  /// held queues drain as they are once the state goes up. Reopens the
-  /// binary channel for held frames; returns false (and re-severs, queues
-  /// intact) when it cannot.
+  /// Recovery for a backend whose process survived (same instance):
+  /// switches the held queues to drain as they are. Reopens the binary
+  /// channel for held frames; returns false (and re-severs, queues intact
+  /// and holding) when it cannot or the connection is gone.
   bool drain_spool();
 
   /// Recovery for a replaced/restarted process (new instance), called
@@ -140,7 +122,7 @@ class Forwarder {
   std::uint64_t discard_spool();
 
   /// Severs the connection now: closes both channels, rewinds each queue
-  /// to the first byte of its oldest record and transitions to down. The
+  /// to the first byte of its oldest record, which then holds. The
   /// router calls this on peer EOF/reset and on flush-deadline expiry;
   /// flush() calls it on send failure.
   void sever();
@@ -151,8 +133,8 @@ class Forwarder {
   void close();
 
   /// Points the forwarder at a replacement process for the same ring
-  /// name. Connects first: on failure nothing changes (address, state and
-  /// queues stay as they were) and it returns false. On success the
+  /// name. Connects first: on failure nothing changes (address, connection
+  /// and queues stay as they were) and it returns false. On success the
   /// records queued for the old process are superseded by the rebalance
   /// re-send, so they are discarded (discard_spool() semantics), not
   /// counted dropped.
@@ -214,7 +196,7 @@ class Forwarder {
   BackendAddr addr_;
   Channel text_;
   Channel binary_;  ///< opened on the first frame sent
-  BackendState state_ = BackendState::kDown;
+  bool sending_ = false;  ///< the queues drain; else they hold
   bool ever_connected_ = false;
   /// When the queues last started holding a record (spool age).
   std::chrono::steady_clock::time_point held_since_{};

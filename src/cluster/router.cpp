@@ -41,12 +41,6 @@ constexpr std::size_t kForwarderBase = SIZE_MAX / 2;
 constexpr std::size_t kForwarderBinBase = SIZE_MAX / 4;
 constexpr std::size_t kProbeBase = SIZE_MAX / 8;
 
-/// Seconds-to-ms for the config's double-valued deadlines, clamped so a
-/// tiny-but-positive value still polls.
-int to_ms(double seconds) {
-  return std::max(1, static_cast<int>(seconds * 1000.0));
-}
-
 /// Routing key: verb + user id, the first two wire fields. Everything
 /// after the second comma is the backend's business — this is the only
 /// parsing the router does per record.
@@ -66,26 +60,6 @@ std::optional<trace::UserId> route_key(std::string_view line) {
     return std::nullopt;
   }
   return id;
-}
-
-std::optional<std::string> json_string_field(std::string_view json,
-                                             std::string_view key) {
-  const std::string pattern = "\"" + std::string(key) + "\"";
-  std::size_t p = json.find(pattern);
-  if (p == std::string_view::npos) return std::nullopt;
-  p = json.find(':', p + pattern.size());
-  if (p == std::string_view::npos) return std::nullopt;
-  ++p;
-  while (p < json.size() && (json[p] == ' ' || json[p] == '\t')) ++p;
-  if (p >= json.size() || json[p] != '"') return std::nullopt;
-  ++p;
-  std::string out;
-  while (p < json.size() && json[p] != '"') {
-    if (json[p] == '\\' && p + 1 < json.size()) ++p;
-    out += json[p++];
-  }
-  if (p >= json.size()) return std::nullopt;
-  return out;
 }
 
 /// {"name":NAME,"response":BODY} — one backend's embedded fan-out answer.
@@ -193,6 +167,7 @@ struct Router::Metrics {
   std::vector<std::uint64_t> dropped_seen;     ///< reconcile watermark
   std::vector<std::uint64_t> superseded_seen;  ///< reconcile watermark
   std::vector<std::uint64_t> reconnects_seen;  ///< reconcile watermark
+  std::vector<std::uint64_t> probe_failures_seen;  ///< reconcile watermark
   obs::Counter* rec_forwarded = nullptr;
   obs::Counter* rec_replayed = nullptr;
   obs::Counter* rec_malformed = nullptr;
@@ -210,10 +185,13 @@ Router::Router(RouteConfig config)
     }
     ring_.add_backend(b.name);  // rejects duplicates
     forwarders_.push_back(std::make_unique<Forwarder>(b));
+    controllers_.emplace_back(config_, config_.net_faults.seed,
+                              controllers_.size());
   }
   hub_.config = config_;
   route_scratch_.resize(forwarders_.size());
-  health_.resize(forwarders_.size());
+  probes_.resize(forwarders_.size());
+  actions_.reserve(BackendController::kMaxActions);
   if (!config_.net_faults.empty()) {
     fault_injector_.emplace(config_.net_faults);
   }
@@ -281,6 +259,7 @@ void Router::register_metrics() {
     m.dropped_seen.push_back(0);
     m.superseded_seen.push_back(0);
     m.reconnects_seen.push_back(0);
+    m.probe_failures_seen.push_back(0);
   }
   static constexpr std::string_view kRecordHelp =
       "Ingest records seen by the router, by outcome: forwarded to the "
@@ -313,34 +292,25 @@ void Router::register_metrics() {
 
 void Router::start() {
   if (started_) throw std::logic_error("Router::start called twice");
-  for (const auto& f : forwarders_) {
-    if (!f->connect()) {
-      throw NetError("route: backend '" + f->addr().name +
-                     "' unreachable at " + f->addr().host + ":" +
-                     std::to_string(f->addr().ingest_port));
-    }
-  }
-  // Learn each backend's instance id synchronously (one deadline-bounded
-  // probe per backend) so a ready backend is up before the first ingest
-  // byte, and the very first asynchronous probe can already distinguish a
-  // restart from a blip.
+  // Learn each backend's instance id synchronously: a new controller
+  // probes, dials, then probes the connection, and here both probes block
+  // (deadline-bounded), so a ready backend is up before the first ingest
+  // byte and the very first asynchronous probe can already distinguish a
+  // restart from a blip. start() stops after that sequence whatever the
+  // answers: a backend not ready yet stays recovering, and any further
+  // redial or probe is the run loop's.
   const Clock::time_point now = Clock::now();
-  const int timeout_ms = to_ms(config_.probe_timeout_s);
   for (std::size_t i = 0; i < forwarders_.size(); ++i) {
-    Forwarder& f = *forwarders_[i];
-    BackendHealth& h = health_[i];
-    try {
-      const serve::HttpResponse resp = serve::http_get_deadline(
-          f.addr().host, f.addr().http_port, "/readyz", timeout_ms);
-      if (resp.status == 200) {
-        f.set_state(BackendState::kUp);
-        h.instance = resp.header("Geovalid-Instance");
-      }
-    } catch (const NetError&) {
-      // Not ready yet: stays recovering; the probe loop promotes it.
+    const Forwarder& f = *forwarders_[i];
+    controllers_[i].tick(now, actions_);
+    (void)apply(i, /*blocking_probe=*/true);  // the first probe
+    answer_probe(i, /*blocking_probe=*/true);  // the dial and its probe
+    answer_probe(i);
+    if (!f.connected()) {
+      throw NetError("route: backend '" + f.addr().name +
+                     "' unreachable at " + f.addr().host + ":" +
+                     std::to_string(f.addr().ingest_port));
     }
-    h.next_probe_at =
-        now + std::chrono::milliseconds(to_ms(config_.probe_interval_s));
   }
   hub_.listen();
   started_ = true;
@@ -428,15 +398,16 @@ void Router::on_frame_error(const serve::FrameError& error) {
 }
 
 HttpReply Router::handle_readyz() {
-  // Per-backend verdict: the probe-driven state machine first (a backend
-  // the router cannot forward to is not ready, whatever its own /readyz
+  // Per-backend verdict: the controller's state first (a backend the
+  // router cannot forward to is not ready, whatever its own /readyz
   // says), then a live deadline-bounded probe for up backends.
   std::string not_ready;
   for (std::size_t i = 0; i < forwarders_.size(); ++i) {
     const Forwarder& f = *forwarders_[i];
+    const BackendState state = controllers_[i].state();
     std::string why;
-    if (f.state() != BackendState::kUp) {
-      why = to_string(f.state());
+    if (state != BackendState::kUp) {
+      why = to_string(state);
     } else {
       try {
         if (serve::http_get_deadline(f.addr().host, f.addr().http_port,
@@ -650,12 +621,20 @@ HttpReply Router::handle_replace(const std::string& name,
   if (index == forwarders_.size()) {
     return reply(404, "{\"error\":\"unknown backend\"}");
   }
+  BackendAddr addr;
+  addr.name = name;
+  addr.host = forwarders_[index]->addr().host;
   double ingest = 0.0;
   double http = 0.0;
   try {
-    for (const auto& [path, value] : flatten_json_numbers(json)) {
+    std::vector<std::pair<std::string, std::string>> strings;
+    for (const auto& [path, value] : flatten_json_numbers(json, &strings)) {
       if (path == "ingest_port") ingest = value;
       if (path == "http_port") http = value;
+    }
+    // Only the top-level "host": one nested in another object is not it.
+    for (auto& [path, value] : strings) {
+      if (path == "host") addr.host = std::move(value);
     }
   } catch (const std::invalid_argument&) {
     return reply(400, "{\"error\":\"malformed body\"}");
@@ -665,28 +644,18 @@ HttpReply Router::handle_replace(const std::string& name,
                  "{\"error\":\"body must carry ingest_port and http_port "
                  "(1-65535)\"}");
   }
-  BackendAddr addr;
-  addr.name = name;
-  addr.host = json_string_field(json, "host")
-                  .value_or(forwarders_[index]->addr().host);
   addr.ingest_port = static_cast<std::uint16_t>(ingest);
   addr.http_port = static_cast<std::uint16_t>(http);
   if (!forwarders_[index]->replace(addr)) {
     return reply(502, "{\"error\":\"replacement unreachable\"}");
   }
 
-  const std::uint64_t reset_users = begin_new_epoch(index);
-
-  // Fresh health episode for the replacement process: forget the old
-  // instance and probe immediately, so the promotion to up (and the
-  // spool drain that comes with it) happens within one loop iteration.
-  BackendHealth& h = health_[index];
-  h.instance.clear();
-  h.consecutive_failures = 0;
-  h.reconnect_attempts = 0;
-  h.phase = BackendHealth::ProbePhase::kIdle;
-  h.probe_fd.reset();
-  h.next_probe_at = Clock::now();
+  // Fresh health episode for the replacement process: a new epoch now,
+  // the old instance forgotten and a probe at this loop iteration's tick,
+  // so the promotion to up (and the spool drain that comes with it)
+  // starts within one iteration.
+  controllers_[index].replaced(Clock::now(), actions_);
+  const std::uint64_t reset_users = apply(index);
 
   return reply(200, "{\"status\":\"replaced\",\"backend\":\"" + name +
                         "\",\"users_reset\":" + std::to_string(reset_users) +
@@ -719,184 +688,130 @@ int Router::fanout_deadline_ms() const {
   return to_ms(config_.fanout_deadline_s);
 }
 
-void Router::check_health_timers(Clock::time_point now) {
-  for (std::size_t i = 0; i < forwarders_.size(); ++i) {
-    BackendHealth& h = health_[i];
-    Forwarder& f = *forwarders_[i];
-    if (h.phase != BackendHealth::ProbePhase::kIdle &&
-        now >= h.probe_deadline) {
-      finish_probe(i, /*ok=*/false, {});
-    }
-    if (h.phase == BackendHealth::ProbePhase::kIdle &&
-        now >= h.next_probe_at) {
-      start_probe(i, now);
-    }
-    if (!f.connected() && !drain_requested_ && now >= h.next_reconnect_at) {
-      if (f.connect()) {
-        // Probe immediately and afresh: the instance comparison decides
-        // whether the spool drains (same process) or a new epoch starts
-        // (restart), and an answer in flight may be the dead process's.
-        h.phase = BackendHealth::ProbePhase::kIdle;
-        h.probe_fd.reset();
-        h.next_probe_at = now;
-      } else {
-        const std::uint32_t delay = stream::backoff_with_jitter(
-            config_.reconnect_backoff_ms, config_.reconnect_backoff_cap_ms,
-            h.reconnect_attempts, config_.net_faults.seed, i);
-        ++h.reconnect_attempts;
-        h.next_reconnect_at = now + std::chrono::milliseconds(delay);
-      }
+std::uint64_t Router::apply(std::size_t index, bool blocking_probe) {
+  using Kind = BackendController::Action::Kind;
+  BackendController& c = controllers_[index];
+  Forwarder& f = *forwarders_[index];
+  std::uint64_t reset_users = 0;
+  // By index: a dial's result, fed back, appends the decisions after it.
+  // A dial's result never asks for another dial (a failed one waits at
+  // least a millisecond of backoff), and a probe's answer waits for
+  // answer_probe(), so the walk ends.
+  for (std::size_t k = 0; k < actions_.size(); ++k) {
+    const BackendController::Action a = actions_[k];
+    switch (a.kind) {
+      case Kind::kStartProbe:
+        start_probe(index, a.generation, blocking_probe);
+        break;
+      case Kind::kConnect:
+        // No redial once a drain is under way: it closes every forwarder.
+        c.connect_result(!drain_requested_ && f.connect(), actions_);
+        break;
+      case Kind::kSever:
+        f.sever();
+        break;
+      case Kind::kDiscardSpool:
+        // The process behind this name changed: the spool's records were
+        // applied (at most) by the dead instance, and the new one resumes
+        // from its checkpoint. The client re-send is authoritative, so
+        // the spool is superseded (counted so, not dropped).
+        (void)f.discard_spool();
+        break;
+      case Kind::kDrainSpool:
+        // Same instance: the backend's applied state includes everything
+        // we ever flushed, so the held queue simply drains in arrival
+        // order. A failed drain_spool() re-severed; the controller hears
+        // of it at the next tick and redials.
+        if (f.drain_spool()) f.flush();
+        break;
+      case Kind::kBeginEpoch:
+        reset_users += begin_new_epoch(index);
+        break;
     }
   }
+  actions_.clear();
+  return reset_users;
 }
 
-void Router::start_probe(std::size_t index, Clock::time_point now) {
-  BackendHealth& h = health_[index];
+void Router::start_probe(std::size_t index, std::uint64_t generation,
+                         bool blocking) {
+  Probe& p = probes_[index];
   const BackendAddr& addr = forwarders_[index]->addr();
-  // Interval runs probe-start to probe-start, independent of outcome.
-  h.next_probe_at =
-      now + std::chrono::milliseconds(to_ms(config_.probe_interval_s));
-  h.probe_deadline =
-      now + std::chrono::milliseconds(to_ms(config_.probe_timeout_s));
-  h.probe_in.clear();
-  try {
-    h.probe_fd = serve::tcp_connect_start(addr.host, addr.http_port);
-  } catch (const NetError&) {
-    h.phase = BackendHealth::ProbePhase::kIdle;
-    on_probe_failure(index);
+  p = Probe{};
+  p.generation = generation;
+  if (blocking) {
+    try {
+      const serve::HttpResponse resp = serve::http_get_deadline(
+          addr.host, addr.http_port, "/readyz",
+          to_ms(config_.probe_timeout_s));
+      p.ok = resp.status == 200;
+      p.instance = resp.header("Geovalid-Instance");
+    } catch (const NetError&) {
+      // Not ready yet: a failed probe.
+    }
+    p.answered = true;
     return;
   }
-  h.phase = BackendHealth::ProbePhase::kConnecting;
+  try {
+    p.fd = serve::tcp_connect_start(addr.host, addr.http_port);
+  } catch (const NetError&) {
+    p.answered = true;  // failed; answered at this iteration's tick
+  }
 }
 
 void Router::probe_io(std::size_t index, short revents) {
-  BackendHealth& h = health_[index];
-  if (h.phase == BackendHealth::ProbePhase::kIdle || !h.probe_fd.valid()) {
-    return;
-  }
-  const int fd = h.probe_fd.get();
-  if ((revents & (POLLERR | POLLNVAL)) != 0) {
-    finish_probe(index, /*ok=*/false, {});
-    return;
-  }
-  if (h.phase == BackendHealth::ProbePhase::kConnecting) {
+  Probe& p = probes_[index];
+  if (!p.fd.valid()) return;
+  const int fd = p.fd.get();
+  bool done = (revents & (POLLERR | POLLNVAL)) != 0;
+  if (!done && !p.sent) {
     // The connect settled. A fresh socket's send buffer takes the small
     // request whole, so a refused connect or a short send fails the probe.
     const std::string request =
         serve::build_request(forwarders_[index]->addr().host, "GET", "/readyz");
     int err = 0;
     socklen_t len = sizeof(err);
-    if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) < 0 || err != 0 ||
-        ::send(fd, request.data(), request.size(), MSG_NOSIGNAL) !=
-            static_cast<ssize_t>(request.size())) {
-      finish_probe(index, /*ok=*/false, {});
-      return;
-    }
-    h.phase = BackendHealth::ProbePhase::kReading;
+    done = ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) < 0 ||
+           err != 0 ||
+           ::send(fd, request.data(), request.size(), MSG_NOSIGNAL) !=
+               static_cast<ssize_t>(request.size());
+    p.sent = true;
   }
   char buf[4096];
-  while (true) {
+  while (!done) {
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n < 0 && errno == EINTR) continue;
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-    if (n > 0 && h.probe_in.size() + static_cast<std::size_t>(n) <=
-                     kMaxProbeResponseBytes) {
-      h.probe_in.append(buf, static_cast<std::size_t>(n));
+    if (n > 0 &&
+        p.in.size() + static_cast<std::size_t>(n) <= kMaxProbeResponseBytes) {
+      p.in.append(buf, static_cast<std::size_t>(n));
       continue;
     }
     // EOF ends the response; an error or an oversized answer fails it.
-    bool ok = false;
-    std::string instance;
+    done = true;
     if (n == 0) {
       try {
         const serve::HttpResponse resp =
-            serve::parse_http_response(h.probe_in, "probe");
-        ok = resp.status == 200;
-        instance = resp.header("Geovalid-Instance");
+            serve::parse_http_response(p.in, "probe");
+        p.ok = resp.status == 200;
+        p.instance = resp.header("Geovalid-Instance");
       } catch (const NetError&) {
         // Malformed or cut short: a failed probe.
       }
     }
-    finish_probe(index, ok, std::move(instance));
-    return;
   }
+  p.fd.reset();
+  p.answered = true;
+  answer_probe(index);
 }
 
-void Router::finish_probe(std::size_t index, bool ok,
-                          std::string instance) {
-  BackendHealth& h = health_[index];
-  h.phase = BackendHealth::ProbePhase::kIdle;
-  h.probe_fd.reset();
-  h.probe_in.clear();
-  if (ok) {
-    on_probe_success(index, std::move(instance));
-  } else {
-    on_probe_failure(index);
-  }
-}
-
-void Router::on_probe_success(std::size_t index, std::string instance) {
-  BackendHealth& h = health_[index];
-  Forwarder& f = *forwarders_[index];
-  h.consecutive_failures = 0;
-
-  const bool restarted = !h.instance.empty() && !instance.empty() &&
-                         instance != h.instance;
-  if (restarted) {
-    // The process behind this name changed: the spool's records were
-    // applied (at most) by the dead instance, and the new one resumes
-    // from its checkpoint. The client re-send is authoritative —
-    // discard the spool (counted superseded, not dropped) and start a
-    // new epoch so re-sent prefixes replay correctly everywhere.
-    if (f.state() == BackendState::kUp ||
-        f.state() == BackendState::kSuspect) {
-      // A restart that beat our EOF detection: the live-looking
-      // connection belongs to a dead process. Drop it and reconnect.
-      f.sever();
-    }
-    (void)f.discard_spool();
-    begin_new_epoch(index);
-  }
-  if (!instance.empty()) h.instance = std::move(instance);
-
-  if (!f.connected()) {
-    // Probes pass but the forwarder is not connected yet (e.g. the
-    // ingest listener came up a beat after /readyz): reconnect now.
-    h.next_reconnect_at = Clock::now();
-    return;
-  }
-  if (f.state() != BackendState::kUp) {
-    // Same instance (or first sighting): the backend's applied state
-    // includes everything we ever flushed, so the held queue simply
-    // drains in arrival order.
-    if (f.drain_spool()) {
-      f.set_state(BackendState::kUp);
-      h.reconnect_attempts = 0;
-      f.flush();
-    }
-    // drain_spool() failure re-severed; the reconnect timer retries.
-  }
-}
-
-void Router::on_probe_failure(std::size_t index) {
-  BackendHealth& h = health_[index];
-  Forwarder& f = *forwarders_[index];
-  ++h.consecutive_failures;
-  if (metrics_) metrics_->probe_failures[index]->inc();
-  if (!f.connected()) {
-    f.set_state(BackendState::kDown);
-    return;
-  }
-  if (h.consecutive_failures >= config_.probe_down_after) {
-    // The connection still looks live but the process has stopped
-    // answering: a hung backend will never flush its queue. Sever so the
-    // queue holds and recovery owns it.
-    f.sever();
-    h.reconnect_attempts = 0;
-    h.next_reconnect_at = Clock::now();
-  } else if (f.state() == BackendState::kUp) {
-    f.set_state(BackendState::kSuspect);
-  }
+void Router::answer_probe(std::size_t index, bool blocking_probe) {
+  Probe& p = probes_[index];
+  if (!p.answered) return;
+  const Probe done = std::exchange(p, Probe{});
+  controllers_[index].probe_answer(done.generation, done.ok, done.instance,
+                                   actions_);
+  (void)apply(index, blocking_probe);
 }
 
 HttpReply Router::on_request(const serve::HttpRequest& req) {
@@ -949,7 +864,8 @@ void Router::update_backend_gauges() {
     superseded_total += f.superseded;
     if (!metrics_) continue;
     metrics_->up[i]->set(f.connected() ? 1 : 0);
-    metrics_->state[i]->set(static_cast<std::int64_t>(f.state()));
+    metrics_->state[i]->set(
+        static_cast<std::int64_t>(controllers_[i].state()));
     metrics_->buffered[i]->set(static_cast<std::int64_t>(f.buffered()));
     metrics_->spool_bytes[i]->set(
         static_cast<std::int64_t>(f.spool_bytes()));
@@ -963,6 +879,9 @@ void Router::update_backend_gauges() {
                       metrics_->superseded_seen[i]);
     obs::sync_counter(*metrics_->reconnects[i], f.reconnects,
                       metrics_->reconnects_seen[i]);
+    obs::sync_counter(*metrics_->probe_failures[i],
+                      controllers_[i].probe_failures(),
+                      metrics_->probe_failures_seen[i]);
   }
   stats_.records_dropped = dropped_total;
   stats_.records_superseded = superseded_total;
@@ -1098,16 +1017,14 @@ RouteStats Router::run(const std::atomic<bool>* stop) {
         tags.push_back(kForwarderBinBase + i);
       }
     }
-    for (std::size_t i = 0; i < health_.size(); ++i) {
-      const BackendHealth& h = health_[i];
-      if (h.phase == BackendHealth::ProbePhase::kIdle ||
-          !h.probe_fd.valid()) {
-        continue;
-      }
-      const short events =
-          h.phase == BackendHealth::ProbePhase::kReading ? POLLIN
-                                                         : POLLOUT;
-      pollfds.push_back({h.probe_fd.get(), events, 0});
+    for (std::size_t i = 0; i < probes_.size(); ++i) {
+      // A probe the controller no longer waits for (past its deadline, or
+      // of an older connection) still runs here until a new one replaces
+      // it; its answer is ignored.
+      const Probe& p = probes_[i];
+      if (!p.fd.valid()) continue;
+      const short events = p.sent ? POLLIN : POLLOUT;
+      pollfds.push_back({p.fd.get(), events, 0});
       tags.push_back(kProbeBase + i);
     }
     // A paused router leaves its ingest connections unread (their bytes
@@ -1156,7 +1073,18 @@ RouteStats Router::run(const std::atomic<bool>* stop) {
       probe_io(tag - kProbeBase, pollfds[i].revents);
     }
 
-    if (!drain_done_) check_health_timers(Clock::now());
+    if (!drain_done_) {
+      const Clock::time_point now = Clock::now();
+      for (std::size_t i = 0; i < controllers_.size(); ++i) {
+        // A sever its forwarder made by itself this iteration (peer EOF or
+        // reset, a failed send, a flush deadline) reaches the controller
+        // here, before anything else it is told.
+        if (!forwarders_[i]->connected()) controllers_[i].channel_broke();
+        answer_probe(i);  // one that failed to start
+        controllers_[i].tick(now, actions_);
+        (void)apply(i);
+      }
+    }
 
     core_.sweep_and_reap(polled_at);
 

@@ -43,18 +43,19 @@
 // already covers. At-least-once delivery in, exactly-once application
 // out — the cluster-level restatement of the serve resume contract.
 //
-// Self-healing (docs/ROBUSTNESS.md): the loop actively probes each
-// backend's /readyz with a connect/read deadline, driving the forwarder
-// state machine (up → suspect → down → recovering). A lost connection
-// reconnects with capped, jittered exponential backoff instead of
-// latching dead; records meanwhile queue in the forwarder's bounded
-// spool, overflowing to whole-ingest backpressure, never to a drop. On
-// reconnect, the probe's Geovalid-Instance header decides the replay:
-// the same instance means the process (and its applied records) survived
-// — the spool simply drains; a new instance means only a checkpoint
-// survived — the router starts a new epoch, exactly as handle_replace
-// does, and the client re-send plus serve's resume skip restore
-// exactly-once.
+// Self-healing (docs/ROBUSTNESS.md): every health decision is one
+// BackendController's per backend (cluster/health.h), a state machine
+// with no sockets and no clock (up → suspect → down → recovering). The
+// loop does its I/O: it probes each backend's /readyz with a
+// connect/read deadline, and a lost connection reconnects with capped,
+// jittered exponential backoff instead of latching dead; records
+// meanwhile queue in the forwarder's bounded spool, overflowing to
+// whole-ingest backpressure, never to a drop. On reconnect, the probe's
+// Geovalid-Instance header decides the replay: the same instance means
+// the process (and its applied records) survived — the spool simply
+// drains; a new instance means only a checkpoint survived — the router
+// starts a new epoch, exactly as handle_replace does, and the client
+// re-send plus serve's resume skip restore exactly-once.
 #pragma once
 
 #include <atomic>
@@ -68,6 +69,7 @@
 #include <vector>
 
 #include "cluster/forwarder.h"
+#include "cluster/health.h"
 #include "cluster/ring.h"
 #include "serve/conn.h"
 #include "serve/wire.h"
@@ -76,7 +78,8 @@
 
 namespace geovalid::cluster {
 
-struct RouteConfig : serve::ConnConfig {
+/// The probe and reconnect timing (HealthConfig) apply to every backend.
+struct RouteConfig : serve::ConnConfig, HealthConfig {
   /// The backends to front. Names must be unique; they are the ring
   /// identity and must stay stable across process replacement.
   std::vector<BackendAddr> backends;
@@ -92,20 +95,6 @@ struct RouteConfig : serve::ConnConfig {
 
   /// Register cluster_* metric families in the process registry.
   bool metrics = true;
-
-  /// Health probing: every `probe_interval_s` the router opens a
-  /// non-blocking GET /readyz to each backend with `probe_timeout_s` as
-  /// the combined connect/read deadline. `probe_down_after` consecutive
-  /// failures sever a still-connected backend (a hung process will not
-  /// flush its queue; the spool reclaims it).
-  double probe_interval_s = 2.0;
-  double probe_timeout_s = 1.0;
-  std::size_t probe_down_after = 3;
-
-  /// Reconnect backoff (jittered exponential, stream::backoff_with_jitter,
-  /// seeded from `net_faults.seed` so chaos drills replay identically).
-  std::uint32_t reconnect_backoff_ms = 100;
-  std::uint32_t reconnect_backoff_cap_ms = 5000;
 
   /// Per-backend spool byte budget: records owned by a not-up backend
   /// queue here; past the budget the router stops reading ingest (the
@@ -153,10 +142,11 @@ class Router final : private serve::ConnSink {
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  /// Connects every backend's forwarder (all must be reachable — a
-  /// router with a known-dead backend should fail loudly at startup, not
-  /// drop a shard silently; throws serve::NetError) and binds both
-  /// listeners. Call once, before run().
+  /// Probes and connects every backend's forwarder (all must be
+  /// reachable — a router with a known-dead backend should fail loudly at
+  /// startup, not drop a shard silently; throws serve::NetError) and
+  /// binds both listeners. The probes block, so a ready backend is up
+  /// before the first ingest byte. Call once, before run().
   void start();
 
   [[nodiscard]] std::uint16_t ingest_port() const { return hub_.ingest_port; }
@@ -200,35 +190,35 @@ class Router final : private serve::ConnSink {
   /// everything flushed.
   bool flush_all_blocking(int deadline_ms);
 
-  // -- Self-healing (probe loop + reconnect + recovery protocol) --------
+  // -- Self-healing: the I/O for each backend's BackendController -------
 
-  /// Non-blocking health probe to one backend's GET /readyz, driven by
-  /// the router's poll loop under its own fd tag.
-  struct BackendHealth {
-    enum class ProbePhase : std::uint8_t { kIdle, kConnecting, kReading };
-    ProbePhase phase = ProbePhase::kIdle;
-    serve::Fd probe_fd;
-    std::string probe_in;  ///< raw response accumulated to EOF
-    Clock::time_point probe_deadline{};
-    Clock::time_point next_probe_at{};  ///< epoch start = immediately due
-
-    std::size_t consecutive_failures = 0;
-    std::uint32_t reconnect_attempts = 0;
-    Clock::time_point next_reconnect_at{};
-    /// Geovalid-Instance from the last passing probe; a change across a
-    /// recovery means the process restarted and replay must come from
-    /// the clients, not the spool.
-    std::string instance;
+  /// One health probe, GET /readyz, to one backend: non-blocking under
+  /// the router's poll loop and its own fd tag, or blocking in start().
+  /// Its answer reaches the controller only after apply() has returned:
+  /// fed back inside, a probe that fails at once (a refused /readyz, a
+  /// socket() error) would sever, redial and probe again without end.
+  struct Probe {
+    serve::Fd fd;       ///< the non-blocking request in flight
+    bool sent = false;  ///< the request went out: reading the response
+    std::string in;     ///< raw response accumulated to EOF
+    std::uint64_t generation = 0;  ///< the controller's, handed back
+    bool answered = false;  ///< settled; `ok` and `instance` await delivery
+    bool ok = false;
+    std::string instance;  ///< the answer's Geovalid-Instance
   };
 
-  /// Due-time driving: start/expire probes, attempt backoff reconnects.
-  void check_health_timers(Clock::time_point now);
-  void start_probe(std::size_t index, Clock::time_point now);
-  /// Poll-event hook for a probe fd; advances the probe state machine.
+  /// Carries out the controller's decisions in `actions_` for backend
+  /// `index` on its forwarder, probe and epoch. A dial's result goes back
+  /// at once (it emits no further dial); a probe it starts blocks when
+  /// `blocking_probe`. Returns how many users a new epoch reset.
+  std::uint64_t apply(std::size_t index, bool blocking_probe = false);
+  void start_probe(std::size_t index, std::uint64_t generation,
+                   bool blocking);
+  /// Poll-event hook for a probe fd: reads to EOF, then answer_probe().
   void probe_io(std::size_t index, short revents);
-  void finish_probe(std::size_t index, bool ok, std::string instance);
-  void on_probe_success(std::size_t index, std::string instance);
-  void on_probe_failure(std::size_t index);
+  /// Hands a settled probe answer to the controller and applies what it
+  /// decides; a no-op while none is settled.
+  void answer_probe(std::size_t index, bool blocking_probe = false);
 
   /// The epoch reset handle_replace pioneered, shared with instance-change
   /// recovery: sever ingest clients, then fold every user's coverage into
@@ -271,7 +261,11 @@ class Router final : private serve::ConnSink {
   RouteConfig config_;
   HashRing ring_;
   std::vector<std::unique_ptr<Forwarder>> forwarders_;  ///< ring order
-  std::vector<BackendHealth> health_;                   ///< parallel to ^
+  std::vector<BackendController> controllers_;          ///< parallel to ^
+  std::vector<Probe> probes_;                           ///< parallel to ^
+  /// The decisions apply() carries out, reserved once for kMaxActions: a
+  /// tick allocates nothing.
+  BackendController::Actions actions_;
   std::optional<stream::NetFaultInjector> fault_injector_;
   std::optional<stream::Quarantine> quarantine_;
 

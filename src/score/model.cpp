@@ -105,18 +105,10 @@ ScoreModel ScoreModel::decode(std::string_view bytes) {
 }
 
 void save_model(const std::filesystem::path& path, const ScoreModel& model) {
-  namespace fs = std::filesystem;
-  if (path.has_parent_path()) fs::create_directories(path.parent_path());
-  const fs::path tmp = path.string() + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    const std::string bytes = model.encode();
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    if (!out) {
-      throw std::runtime_error("model: cannot write " + tmp.string());
-    }
+  if (path.has_parent_path()) {
+    std::filesystem::create_directories(path.parent_path());
   }
-  fs::rename(tmp, path);
+  stream::write_file_durably(path, model.encode());
 }
 
 ScoreModel load_model(const std::filesystem::path& path) {

@@ -70,7 +70,7 @@ class ScoreModel {
   detect::LogisticModel model_;
 };
 
-/// Atomically writes the artifact (tmp + rename, like write_checkpoint).
+/// Durably writes the artifact (stream::write_file_durably).
 void save_model(const std::filesystem::path& path, const ScoreModel& model);
 
 /// Reads and validates an artifact. Throws stream::CheckpointError when

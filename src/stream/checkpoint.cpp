@@ -1,7 +1,10 @@
 #include "stream/checkpoint.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
-#include <chrono>
+#include <cerrno>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -15,17 +18,41 @@ namespace {
 
 constexpr std::string_view kFilePrefix = "checkpoint-";
 constexpr std::string_view kFileSuffix = ".gvck";
+/// Kept after each write: the newest, and the fallback for a torn newest.
+constexpr std::size_t kRetained = 2;
 
 [[noreturn]] void corrupt(const std::string& what) {
   throw CheckpointError(CheckpointError::Kind::kCorrupt,
                         "checkpoint: " + what);
 }
 
-bool is_checkpoint_name(const std::string& name) {
-  return name.size() > kFilePrefix.size() + kFileSuffix.size() &&
-         name.compare(0, kFilePrefix.size(), kFilePrefix) == 0 &&
-         name.compare(name.size() - kFileSuffix.size(), kFileSuffix.size(),
-                      kFileSuffix) == 0;
+/// The checkpoint files in `dir`, oldest first: the zero-padded cursor
+/// makes lexicographic order == cursor order. A missing `dir` holds none;
+/// one that exists but cannot be listed throws
+/// std::filesystem::filesystem_error. With `stale`, the `.tmp` files a
+/// crash left go there.
+std::vector<std::filesystem::path> list_checkpoints(
+    const std::filesystem::path& dir,
+    std::vector<std::filesystem::path>* stale = nullptr) {
+  std::vector<std::filesystem::path> out;
+  std::error_code ec;
+  if (!std::filesystem::is_directory(dir, ec)) return out;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (!entry.is_regular_file() || !name.starts_with(kFilePrefix)) continue;
+    if (name.ends_with(kFileSuffix)) out.push_back(entry.path());
+    if (stale != nullptr && name.ends_with(".gvck.tmp")) {
+      stale->push_back(entry.path());
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// fsync()s and closes `fd`; false when either fails.
+bool sync_and_close(int fd) {
+  const bool synced = ::fsync(fd) == 0;
+  return ::close(fd) == 0 && synced;
 }
 
 std::string read_file(const std::filesystem::path& path) {
@@ -77,6 +104,31 @@ Checkpoint decode_checkpoint(std::string_view bytes) {
   return ck;
 }
 
+void write_file_durably(const std::filesystem::path& path,
+                        std::string_view bytes) {
+  const std::filesystem::path tmp = path.string() + ".tmp";
+  const int fd =
+      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) throw std::runtime_error("cannot write " + tmp.string());
+  std::size_t off = 0;
+  while (off < bytes.size()) {
+    const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    off += static_cast<std::size_t>(n);
+  }
+  if (!sync_and_close(fd) || off < bytes.size()) {
+    throw std::runtime_error("short write to " + tmp.string());
+  }
+  std::filesystem::rename(tmp, path);
+  const std::filesystem::path dir =
+      path.has_parent_path() ? path.parent_path() : ".";
+  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (dir_fd < 0 || !sync_and_close(dir_fd)) {
+    throw std::runtime_error("cannot sync directory " + dir.string());
+  }
+}
+
 std::filesystem::path write_checkpoint(const std::filesystem::path& dir,
                                        const Checkpoint& ck) {
   // Registry lookups are fine here: checkpointing happens once per
@@ -90,22 +142,19 @@ std::filesystem::path write_checkpoint(const std::filesystem::path& dir,
   std::snprintf(name, sizeof(name), "checkpoint-%020llu.gvck",
                 static_cast<unsigned long long>(ck.cursor));
   const std::filesystem::path final_path = dir / name;
-  const std::filesystem::path tmp_path = dir / (std::string(name) + ".tmp");
-  {
-    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      throw std::runtime_error("checkpoint: cannot write " +
-                               tmp_path.string());
+  write_file_durably(final_path, encode_checkpoint(ck));
+  // Retention, best effort: the checkpoint is already durable, and what
+  // will not go now goes after the next write.
+  try {
+    std::vector<std::filesystem::path> doomed;
+    const auto kept = list_checkpoints(dir, &doomed);
+    for (std::size_t i = 0; i + kRetained < kept.size(); ++i) {
+      if (kept[i] != final_path) doomed.push_back(kept[i]);
     }
-    const std::string bytes = encode_checkpoint(ck);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out) {
-      throw std::runtime_error("checkpoint: short write to " +
-                               tmp_path.string());
-    }
+    std::error_code ec;
+    for (const auto& path : doomed) std::filesystem::remove(path, ec);
+  } catch (const std::filesystem::filesystem_error&) {
   }
-  std::filesystem::rename(tmp_path, final_path);
   obs::registry()
       .counter("stream_checkpoints_total",
                "Checkpoints successfully written to disk")
@@ -118,18 +167,8 @@ std::filesystem::path write_checkpoint(const std::filesystem::path& dir,
 }
 
 std::optional<Checkpoint> restore_latest(const std::filesystem::path& dir) {
-  std::error_code ec;
-  if (!std::filesystem::is_directory(dir, ec)) return std::nullopt;
-  std::vector<std::filesystem::path> candidates;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.is_regular_file() &&
-        is_checkpoint_name(entry.path().filename().string())) {
-      candidates.push_back(entry.path());
-    }
-  }
+  const std::vector<std::filesystem::path> candidates = list_checkpoints(dir);
   if (candidates.empty()) return std::nullopt;
-  // The zero-padded cursor makes lexicographic order == cursor order.
-  std::sort(candidates.begin(), candidates.end());
   std::optional<CheckpointError> first_error;
   for (auto it = candidates.rbegin(); it != candidates.rend(); ++it) {
     try {

@@ -17,9 +17,10 @@
 //   u32  crc32      over everything above
 //
 // Files are named `checkpoint-<cursor, zero-padded>.gvck` and written
-// atomically (tmp + rename), so a crash mid-write leaves at worst a stray
-// tmp file, never a half checkpoint under the real name. restore_latest()
-// walks candidates newest-first and skips corrupt ones — a torn latest
+// durably (tmp, fsync, rename, directory fsync), so a crash mid-write
+// leaves at worst a stray tmp file, never a half checkpoint under the real
+// name; each write keeps only the newest two. restore_latest() walks
+// candidates newest-first and skips corrupt ones — a torn latest
 // checkpoint costs one interval of replay, not the run.
 #pragma once
 
@@ -73,8 +74,15 @@ struct Checkpoint {
 /// format revision differs.
 [[nodiscard]] Checkpoint decode_checkpoint(std::string_view bytes);
 
-/// Atomically writes `dir/checkpoint-<cursor>.gvck` (tmp + rename),
-/// creating `dir` if needed. Returns the final path.
+/// Writes `bytes` to `path.tmp`, fsyncs it, renames it over `path` and
+/// fsyncs the directory: after a crash `path` holds the old bytes or the
+/// new, never a torn file. Throws std::runtime_error when a step fails.
+void write_file_durably(const std::filesystem::path& path,
+                        std::string_view bytes);
+
+/// Durably writes `dir/checkpoint-<cursor>.gvck` (creating `dir`), then
+/// deletes all but the newest two by cursor (never this one) and any stale
+/// `checkpoint-*.gvck.tmp`. Returns the final path.
 std::filesystem::path write_checkpoint(const std::filesystem::path& dir,
                                        const Checkpoint& ck);
 

@@ -131,6 +131,19 @@ TEST(ClusterAggregate, FlattenJsonNumbersWalksNestedObjects) {
   EXPECT_DOUBLE_EQ(flat[2].second, -3.0);
 }
 
+TEST(ClusterAggregate, FlattenJsonNumbersReportsStringLeavesOnRequest) {
+  std::vector<std::pair<std::string, std::string>> strings;
+  const auto flat = flatten_json_numbers(
+      R"({"meta":{"host":"10.0.0.2"},"host":"a\"b","port":7})", &strings);
+  ASSERT_EQ(flat.size(), 1u);
+  EXPECT_EQ(flat[0].first, "port");
+  ASSERT_EQ(strings.size(), 2u);
+  EXPECT_EQ(strings[0].first, "meta.host");
+  EXPECT_EQ(strings[0].second, "10.0.0.2");
+  EXPECT_EQ(strings[1].first, "host");
+  EXPECT_EQ(strings[1].second, "a\"b");
+}
+
 TEST(ClusterAggregate, FlattenJsonNumbersRejectsGarbageAndArrays) {
   EXPECT_THROW(flatten_json_numbers("[1,2]"), std::invalid_argument);
   EXPECT_THROW(flatten_json_numbers("{\"a\":[1]}"), std::invalid_argument);

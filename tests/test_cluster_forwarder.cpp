@@ -1,6 +1,6 @@
 // cluster::Forwarder driven directly against plain loopback listeners
 // standing in for a backend's ingest port: a held queue drains in arrival
-// order once the backend is up; a sever during a partial send rewinds to
+// order once switched to drain; a sever during a partial send rewinds to
 // the half-sent record, which the next connection receives whole; and a
 // record leaves a queue unsent only as superseded (discard_spool(), a
 // successful replace()) or dropped (close()) — never through a refused
@@ -85,7 +85,8 @@ TEST(Forwarder, HeldQueueDrainsInArrivalOrderOnceUp) {
   Forwarder f(backend.addr());
   ASSERT_TRUE(f.connect());
   const Fd text = backend.accept();
-  EXPECT_EQ(f.state(), BackendState::kRecovering);
+  EXPECT_TRUE(f.connected());
+  EXPECT_FALSE(f.sending());  // a new connection holds
 
   // Recovering: both queues hold, and what they hold is the spool.
   const std::string frame_a = "\xB1GVF-a";
@@ -103,10 +104,10 @@ TEST(Forwarder, HeldQueueDrainsInArrivalOrderOnceUp) {
   EXPECT_EQ(f.binary_fd(), -1);
   EXPECT_GE(f.spool_age_seconds(Clock::now() + 1s), 1.0);
 
-  // Same process: the held queues drain as they are once up.
+  // Same process: the held queues drain as they are once switched.
   ASSERT_TRUE(f.drain_spool());
   const Fd binary = backend.accept();
-  f.set_state(BackendState::kUp);
+  EXPECT_TRUE(f.sending());
   EXPECT_EQ(f.spool_records(), 0u);
   EXPECT_EQ(f.spool_bytes(), 0u);
   EXPECT_EQ(f.spool_age_seconds(Clock::now()), 0.0);
@@ -124,7 +125,7 @@ TEST(Forwarder, SeverMidRecordResendsTheHalfSentRecordWhole) {
   ASSERT_TRUE(f.connect());
   cap_buffer(f.fd(), SO_SNDBUF);
   const Fd first = backend.accept();
-  f.set_state(BackendState::kUp);
+  ASSERT_TRUE(f.drain_spool());
 
   constexpr std::size_t kRecords = 8;
   std::string stream;
@@ -138,7 +139,7 @@ TEST(Forwarder, SeverMidRecordResendsTheHalfSentRecordWhole) {
   ASSERT_GT(unsent, 0u);
   ASSERT_LT(unsent, stream.size());
   f.sever();
-  EXPECT_EQ(f.state(), BackendState::kDown);
+  EXPECT_FALSE(f.sending());
   EXPECT_FALSE(f.connected());
 
   // The first connection delivered exactly what the kernel took, ending
@@ -158,7 +159,6 @@ TEST(Forwarder, SeverMidRecordResendsTheHalfSentRecordWhole) {
   ASSERT_TRUE(f.connect());
   const Fd second = backend.accept();
   ASSERT_TRUE(f.drain_spool());
-  f.set_state(BackendState::kUp);
   std::string received;
   std::thread reader([&] { received = serve::recv_all(second.get()); });
   flush_all(f);
@@ -185,7 +185,6 @@ TEST(Forwarder, DiscardSpoolCountsTheHeldRecordsSuperseded) {
 
   // Nothing discarded is ever sent.
   ASSERT_TRUE(f.drain_spool());
-  f.set_state(BackendState::kUp);
   f.enqueue("three");
   flush_all(f);
   f.close();
@@ -205,7 +204,7 @@ TEST(Forwarder, CloseCountsQueuedRecordsDropped) {
     f.close();
     EXPECT_EQ(f.dropped, 5u);
     EXPECT_EQ(f.superseded, 0u);
-    EXPECT_EQ(f.state(), BackendState::kDown);
+    EXPECT_FALSE(f.sending());
     EXPECT_FALSE(f.connected());
     EXPECT_EQ(f.spool_records(), 0u);
     EXPECT_TRUE(serve::recv_all(conn.get()).empty());
@@ -218,7 +217,7 @@ TEST(Forwarder, CloseCountsQueuedRecordsDropped) {
     ASSERT_TRUE(f.connect());
     cap_buffer(f.fd(), SO_SNDBUF);
     const Fd conn = backend.accept();
-    f.set_state(BackendState::kUp);
+    ASSERT_TRUE(f.drain_spool());
     for (int i = 0; i < 8; ++i) f.enqueue(std::string(kBigRecord, 'x'));
     f.flush();
     const std::size_t unsent = f.buffered();
@@ -233,7 +232,7 @@ TEST(Forwarder, RefusedReplaceLeavesAddressStateAndQueue) {
   Forwarder f(backend.addr());
   ASSERT_TRUE(f.connect());
   const Fd conn = backend.accept();
-  f.set_state(BackendState::kUp);
+  ASSERT_TRUE(f.drain_spool());
   f.enqueue("one");
   f.enqueue("two");
 
@@ -241,7 +240,7 @@ TEST(Forwarder, RefusedReplaceLeavesAddressStateAndQueue) {
   dead.ingest_port = closed_port();
   EXPECT_FALSE(f.replace(dead));
   EXPECT_EQ(f.addr().ingest_port, backend.port);
-  EXPECT_EQ(f.state(), BackendState::kUp);
+  EXPECT_TRUE(f.sending());
   EXPECT_TRUE(f.connected());
   EXPECT_EQ(f.buffered(), 8u);
   EXPECT_EQ(f.superseded, 0u);
@@ -266,11 +265,12 @@ TEST(Forwarder, ReplaceSupersedesTheOldProcessQueue) {
   const Fd new_conn = new_backend.accept();
   EXPECT_EQ(f.superseded, 5u);
   EXPECT_EQ(f.addr().ingest_port, new_backend.port);
-  EXPECT_EQ(f.state(), BackendState::kRecovering);
+  EXPECT_TRUE(f.connected());
+  EXPECT_FALSE(f.sending());  // the replacement's connection holds
   EXPECT_EQ(f.spool_records(), 0u);
   EXPECT_TRUE(serve::recv_all(old_conn.get()).empty());
 
-  f.set_state(BackendState::kUp);
+  ASSERT_TRUE(f.drain_spool());
   f.enqueue("two");
   flush_all(f);
   f.close();

@@ -152,6 +152,25 @@ TEST(ClusterRouter, StartFailsLoudlyOnUnreachableBackend) {
   EXPECT_THROW(router.start(), serve::NetError);
 }
 
+TEST(ClusterRouter, StartEndsWhenEveryProbeFailsAgainstALiveIngestPort) {
+  // An ingest port that accepts (a bare listener) beside a /readyz that is
+  // refused at once, and a connection severed after every failed probe:
+  // start() probes, dials, probes, severs and redials once, and returns;
+  // every later round is the run loop's, one per iteration.
+  const Fd ingest = serve::tcp_listen("127.0.0.1", 0);
+  RouteConfig rc;
+  rc.metrics = false;
+  rc.probe_down_after = 1;
+  BackendAddr unready;
+  unready.name = "unready";
+  unready.ingest_port = serve::local_port(ingest.get());
+  unready.http_port = 1;  // nothing listens on port 1
+  rc.backends = {unready};
+  Router router(std::move(rc));
+  router.start();
+  EXPECT_NE(router.http_port(), 0);
+}
+
 TEST(ClusterRouter, ShardsIngestByRingOwnerAndDrainsCleanly) {
   TestCluster tc(2);
   // Users spread across both shards (the pinned ring makes this stable);
@@ -284,6 +303,24 @@ TEST(ClusterRouter, RefusedRebalanceLeavesTheBackendAsItWas) {
   EXPECT_EQ(tc.stats.records_dropped, 0u);
   EXPECT_EQ(tc.backends[0]->stats.records_applied, 3u);
   EXPECT_EQ(tc.backends[1]->stats.records_applied, 2u);
+}
+
+TEST(ClusterRouter, RebalanceReadsOnlyTheTopLevelHost) {
+  // A "host" nested in another object is not the replacement's host: b0
+  // keeps 127.0.0.1 and the replacement is adopted.
+  TestCluster tc(2);
+  serve::ServeConfig sc;
+  sc.metrics = false;
+  TestBackend replacement(std::move(sc));
+  const HttpResponse r = http_post(
+      "127.0.0.1", tc.http_port(), "/admin/backends/b0",
+      "{\"meta\":{\"host\":\"127.0.0.2\"},\"ingest_port\":" +
+          std::to_string(replacement.server.ingest_port()) +
+          ",\"http_port\":" +
+          std::to_string(replacement.server.http_port()) + "}");
+  EXPECT_EQ(r.status, 200) << r.body;
+  EXPECT_NE(r.body.find("\"status\":\"replaced\""), std::string::npos)
+      << r.body;
 }
 
 TEST(ClusterRouter, ProxiesVerdictsToTheRingOwner) {

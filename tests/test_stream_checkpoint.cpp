@@ -1,10 +1,15 @@
 // Checkpoint format coverage: snapshot primitive roundtrips, full engine
 // state roundtrip (every shard-state field must survive save -> load ->
 // save byte-identically), container rejection of truncated / corrupted /
-// wrong-version files, config-fingerprint refusal, and restore_latest
-// fallback order.
+// wrong-version files, config-fingerprint refusal, restore_latest
+// fallback order (an unlistable directory throws), and the two-file
+// retention of write_checkpoint.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -408,6 +413,80 @@ TEST(Checkpoint, RestoreLatestFallsBackPastCorruptFile) {
   ASSERT_TRUE(ck.has_value());
   EXPECT_EQ(ck->cursor, 100u);
   EXPECT_EQ(ck->payload, "old");
+}
+
+/// The checkpoint files in `dir`, in name (= cursor) order.
+std::vector<std::string> checkpoint_files(const fs::path& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+TEST(Checkpoint, FiftyWritesLeaveTheNewestTwo) {
+  const fs::path dir = fresh_dir("ck_retention");
+  for (std::uint64_t i = 1; i <= 50; ++i) {
+    write_checkpoint(dir, {i * 100, "state " + std::to_string(i)});
+  }
+  EXPECT_EQ(checkpoint_files(dir),
+            (std::vector<std::string>{"checkpoint-00000000000000004900.gvck",
+                                      "checkpoint-00000000000000005000.gvck"}));
+  // The newest torn: restore falls back to the one retention kept.
+  const fs::path newest = dir / "checkpoint-00000000000000005000.gvck";
+  fs::resize_file(newest, fs::file_size(newest) / 2);
+  const auto ck = restore_latest(dir);
+  ASSERT_TRUE(ck.has_value());
+  EXPECT_EQ(ck->cursor, 4900u);
+  EXPECT_EQ(ck->payload, "state 49");
+}
+
+TEST(Checkpoint, WriteRemovesStaleTmpAndKeepsWhatItWrote) {
+  const fs::path dir = fresh_dir("ck_stale_tmp");
+  write_checkpoint(dir, {300, "c"});
+  write_checkpoint(dir, {400, "d"});
+  {
+    // A crash mid-write left this behind.
+    std::ofstream out(dir / "checkpoint-00000000000000000350.gvck.tmp");
+    out << "half";
+  }
+  // An older cursor than both kept files (a resume past a torn newest)
+  // is still never deleted by its own write.
+  write_checkpoint(dir, {100, "a"});
+  EXPECT_EQ(checkpoint_files(dir),
+            (std::vector<std::string>{"checkpoint-00000000000000000100.gvck",
+                                      "checkpoint-00000000000000000300.gvck",
+                                      "checkpoint-00000000000000000400.gvck"}));
+  write_checkpoint(dir, {500, "e"});
+  EXPECT_EQ(checkpoint_files(dir),
+            (std::vector<std::string>{"checkpoint-00000000000000000400.gvck",
+                                      "checkpoint-00000000000000000500.gvck"}));
+}
+
+TEST(Checkpoint, RestoreLatestThrowsWhenTheDirectoryCannotBeListed) {
+  // A directory that exists but cannot be opened (EACCES, EIO; here no
+  // descriptor is left) is an error, never a fresh start: resuming from
+  // nothing would silently lose the checkpointed state.
+  const fs::path dir = fresh_dir("ck_unlistable");
+  write_checkpoint(dir, {100, "a"});
+  rlimit old{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &old), 0);
+  const int lowest_free = ::open("/dev/null", O_RDONLY);
+  ASSERT_GE(lowest_free, 0);
+  ::close(lowest_free);
+  rlimit none = old;
+  none.rlim_cur = static_cast<rlim_t>(lowest_free);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &none), 0);
+  bool threw = false;
+  try {
+    (void)restore_latest(dir);
+  } catch (const fs::filesystem_error&) {
+    threw = true;
+  }
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &old), 0);
+  EXPECT_TRUE(threw);
+  EXPECT_EQ(restore_latest(dir)->payload, "a");
 }
 
 TEST(Checkpoint, RestoreLatestEmptyOrMissingDirIsFreshStart) {

@@ -6,7 +6,9 @@
 #   2. replay a dataset through geovalid_loadgen over 4 connections,
 #      probing /healthz, /metrics and /v1/summary
 #   3. SIGTERM the daemon and require the clean-shutdown contract:
-#      exit code 5 plus a final checkpoint on disk
+#      exit code 5 plus a final checkpoint on disk; of the periodic
+#      checkpoints (every 5000 records) only the newest two remain, and
+#      no .tmp
 #   4. resume: a daemon takes one text replay and drains (exit 0); a
 #      --resume daemon on the same checkpoint directory takes the same
 #      replay and drains, and must skip every record as covered
@@ -63,8 +65,8 @@ drain() {
 rm -rf "$WORK"
 mkdir -p "$WORK"
 
-start_serve serve --checkpoint-dir "$WORK/ck" --dead-letter "$WORK/dead.csv" \
-    --shards 2 --reactors 2
+start_serve serve --checkpoint-dir "$WORK/ck" --checkpoint-interval 5000 \
+    --dead-letter "$WORK/dead.csv" --shards 2 --reactors 2
 replay loadgen
 
 grep -q '"healthz_ok":true' "$WORK/loadgen.json" || fail "/healthz probe"
@@ -96,6 +98,9 @@ STATUS=$?
 [ "$STATUS" -eq 5 ] || fail "expected exit 5 on SIGTERM, got $STATUS"
 ls "$WORK"/ck/checkpoint-*.gvck > /dev/null 2>&1 \
     || fail "no final checkpoint written"
+KEPT=$(ls "$WORK"/ck/checkpoint-*.gvck | wc -l)
+[ "$KEPT" -eq 2 ] || fail "expected the newest 2 checkpoints, found $KEPT"
+! ls "$WORK"/ck/*.tmp > /dev/null 2>&1 || fail "a .tmp file was left behind"
 
 # Resume leg (docs/SERVICE.md, "Checkpoints, kill, resume"): the clients
 # re-send everything, and every record the drained daemon's checkpoint
