@@ -37,11 +37,7 @@ void BackendController::connect_result(bool ok, Actions& out) {
     probing_ = false;
     next_probe_at_ = now_;
   } else {
-    next_reconnect_at_ =
-        now_ + std::chrono::milliseconds(stream::backoff_with_jitter(
-                   config_.reconnect_backoff_ms,
-                   config_.reconnect_backoff_cap_ms, attempts_++, seed_,
-                   index_));
+    redial_after_backoff();
   }
   step(out);
 }
@@ -85,9 +81,16 @@ void BackendController::probe_failed(Actions& out) {
     if (next_reconnect_at_ == TimePoint::max()) next_reconnect_at_ = now_;
   } else if (failures_ >= config_.probe_down_after) {
     // Connected but no longer answering: a hung backend never flushes its
-    // queue. Sever so the queue holds, and redial at once.
+    // queue. Sever so the queue holds. The first sever since the backend
+    // was last up redials at once; each further one waits out the backoff,
+    // or a backend whose port accepts while /readyz fails would be severed
+    // and redialed once per probe.
     sever(out);
-    attempts_ = 0;
+    if (attempts_ > 0) {
+      redial_after_backoff();
+    } else {
+      ++attempts_;
+    }
   } else if (state_ == BackendState::kUp) {
     state_ = BackendState::kSuspect;
   }
@@ -97,6 +100,13 @@ void BackendController::channel_broke() {
   if (state_ == BackendState::kDown) return;
   state_ = BackendState::kDown;
   next_reconnect_at_ = now_;
+}
+
+void BackendController::redial_after_backoff() {
+  next_reconnect_at_ =
+      now_ + std::chrono::milliseconds(stream::backoff_with_jitter(
+                 config_.reconnect_backoff_ms, config_.reconnect_backoff_cap_ms,
+                 attempts_++, seed_, index_));
 }
 
 void BackendController::sever(Actions& out) {

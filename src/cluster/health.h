@@ -119,6 +119,8 @@ class BackendController {
   /// Every input that can make a dial or a probe due ends here.
   void step(Actions& out);
   void sever(Actions& out);
+  /// The next dial waits backoff_with_jitter(attempts_++); a capped wait.
+  void redial_after_backoff();
   void push(Action::Kind kind, Actions& out) const {
     out.push_back({kind, generation_});
   }

@@ -5,11 +5,6 @@
 
 namespace geovalid::geo {
 
-bool is_valid(const LatLon& p) {
-  if (std::isnan(p.lat_deg) || std::isnan(p.lon_deg)) return false;
-  return std::fabs(p.lat_deg) <= 90.0 && std::fabs(p.lon_deg) <= 180.0;
-}
-
 double normalize_lon_deg(double lon_deg) {
   double lon = std::fmod(lon_deg, 360.0);
   if (lon <= -180.0) lon += 360.0;

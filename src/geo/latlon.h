@@ -5,6 +5,7 @@
 // geodesic routines.
 #pragma once
 
+#include <cmath>
 #include <compare>
 #include <string>
 
@@ -30,8 +31,12 @@ struct LatLon {
 };
 
 /// Returns true when `p` is a physically meaningful coordinate:
-/// |lat| <= 90 and |lon| <= 180, and neither component is NaN.
-[[nodiscard]] bool is_valid(const LatLon& p);
+/// |lat| <= 90 and |lon| <= 180, and neither component is NaN. Inline: the
+/// stream engine's shards check every record with it.
+[[nodiscard]] inline bool is_valid(const LatLon& p) {
+  if (std::isnan(p.lat_deg) || std::isnan(p.lon_deg)) return false;
+  return std::fabs(p.lat_deg) <= 90.0 && std::fabs(p.lon_deg) <= 180.0;
+}
 
 /// Normalizes a longitude into (-180, 180]. Latitude is not wrapped (a
 /// latitude outside [-90, 90] is a bug, not a wrap-around).

@@ -491,8 +491,9 @@ std::optional<BinaryFrameDecoder::Result> BinaryFrameDecoder::next() {
   }
 
   PayloadReader r{data + kFrameHeaderBytes, payload_len};
-  Frame out;
-  out.wire_bytes = total;
+  Frame out{events_, total};
+  // The buffer keeps the previous frame's records; the passes below write
+  // every field of every record (kind first), so none of them survives.
   out.events.resize(count);
 
   std::size_t checkins = 0;
@@ -500,10 +501,9 @@ std::optional<BinaryFrameDecoder::Result> BinaryFrameDecoder::next() {
     for (std::size_t i = 0; i < count; ++i) {
       const bool is_checkin =
           (r.p[r.off + i / 8] >> (i % 8)) & 1;
-      if (is_checkin) {
-        out.events[i] = stream::Event::checkin_event(0, {});
-        ++checkins;
-      }
+      out.events[i].kind = is_checkin ? stream::Event::Kind::kCheckin
+                                      : stream::Event::Kind::kGps;
+      checkins += is_checkin;
     }
     r.off += kind_bytes;
   }
@@ -582,7 +582,7 @@ std::optional<BinaryFrameDecoder::Result> BinaryFrameDecoder::next() {
     return FrameError{FrameErrorKind::kBadPayload,
                       frame_detail(FrameErrorKind::kBadPayload, frame)};
   }
-  return Result{std::move(out)};
+  return Result{out};
 }
 
 std::optional<FrameError> BinaryFrameDecoder::finish() {

@@ -177,8 +177,10 @@ class BinaryFrameDecoder {
  public:
   /// One decoded frame: the records in wire order, plus the frame's size
   /// on the wire (header + payload + trailer) for byte accounting.
+  /// `events` is the decoder's own buffer, reused by every frame: it holds
+  /// this frame until the next next() or finish().
   struct Frame {
-    std::vector<stream::Event> events;
+    std::vector<stream::Event>& events;
     std::size_t wire_bytes = 0;
   };
 
@@ -203,6 +205,7 @@ class BinaryFrameDecoder {
 
   std::string buf_;
   std::size_t pos_ = 0;  ///< consumed prefix of buf_
+  std::vector<stream::Event> events_;  ///< the latest frame's records
 };
 
 }  // namespace geovalid::serve

@@ -88,21 +88,6 @@ void add_partition(match::Partition& into, const match::Partition& p) {
   }
 }
 
-/// Advances `totals` by the (non-negative, fields are increment-only)
-/// growth of a user's partition across one pipeline step.
-void add_partition_delta(match::Partition& totals,
-                         const match::Partition& after,
-                         const match::Partition& before) {
-  totals.honest += after.honest - before.honest;
-  totals.extraneous += after.extraneous - before.extraneous;
-  totals.missing += after.missing - before.missing;
-  totals.checkins += after.checkins - before.checkins;
-  totals.visits += after.visits - before.visits;
-  for (std::size_t c = 0; c < after.by_class.size(); ++c) {
-    totals.by_class[c] += after.by_class[c] - before.by_class[c];
-  }
-}
-
 bool partition_equal(const match::Partition& a, const match::Partition& b) {
   return a.honest == b.honest && a.extraneous == b.extraneous &&
          a.missing == b.missing && a.checkins == b.checkins &&
@@ -110,12 +95,11 @@ bool partition_equal(const match::Partition& a, const match::Partition& b) {
 }
 
 /// Per-user incremental pipeline: raw events in, verdicts out. The matcher
-/// sinks into the user's own partition; the shard mirrors every step's
-/// delta into its running totals, so partition() stays the cheap per-shard
-/// sum while each user's share remains queryable (the serve layer's
-/// /v1/users/{id}/verdicts endpoint).
+/// counts each verdict into the user's own share and, through the context
+/// the shard passes in, into the shard's running totals at once, so
+/// partition() stays the cheap per-shard sum while each user's share
+/// remains queryable (the serve layer's /v1/users/{id}/verdicts endpoint).
 struct UserPipeline {
-  match::Partition verdicts;  ///< declared before matcher: it is the sink
   OnlineVisitDetector detector;
   OnlineMatcher matcher;
   trace::TimeSec last_event_t = 0;
@@ -128,10 +112,6 @@ struct UserPipeline {
   std::uint64_t gap_count = 0;
   double gap_mean_min = 0.0;
   double gap_m2 = 0.0;
-
-  explicit UserPipeline(const StreamEngineConfig& config)
-      : detector(config.detector),
-        matcher(config.match, config.classifier, verdicts) {}
 
   void observe_checkin_time(trace::TimeSec t) {
     if (checkins_seen > 0) {
@@ -156,7 +136,7 @@ struct UserState {
 UserVerdicts make_user_verdicts(trace::UserId id, const UserPipeline& p) {
   UserVerdicts v;
   v.id = id;
-  v.partition = p.verdicts;
+  v.partition = p.matcher.verdicts();
   v.checkins_seen = p.checkins_seen;
   v.gap_count = p.gap_count;
   v.gap_mean_min = p.gap_mean_min;
@@ -254,7 +234,7 @@ struct StreamEngine::Shard {
     if (config.faults != nullptr) {
       config.faults->on_shard_event(index, fault_seq++);
     }
-    if (!u.pipeline) u.pipeline = std::make_unique<UserPipeline>(config);
+    if (!u.pipeline) u.pipeline = std::make_unique<UserPipeline>();
     UserPipeline& p = *u.pipeline;
 
     const trace::TimeSec t = e.time();
@@ -277,28 +257,29 @@ struct StreamEngine::Shard {
     p.last_event_t = t;
     p.saw_event = true;
 
-    const match::Partition before = p.verdicts;
+    const OnlineMatcher::Context ctx{config.match, config.classifier, totals};
     if (e.kind == Event::Kind::kGps) {
-      p.matcher.observe_gps(e.gps);
-      if (auto visit = p.detector.push(e.gps)) p.matcher.push_visit(*visit);
+      p.matcher.observe_gps(e.gps, ctx);
+      if (auto visit = p.detector.push(e.gps, config.detector)) {
+        p.matcher.push_visit(*visit, ctx);
+      }
     } else {
       p.observe_checkin_time(t);
       if (scorer) {
         scorer->observe(e.user, e.checkin);
         ++scored_total;
       }
-      p.matcher.push_checkin(e.checkin);
+      p.matcher.push_checkin(e.checkin, ctx);
     }
-    p.matcher.advance(t, p.detector.open_window_start().value_or(t));
-    add_partition_delta(totals, p.verdicts, before);
+    p.matcher.advance(t, p.detector.open_window_start().value_or(t), ctx);
     return true;
   }
 
   void run(const StreamEngineConfig& config) {
     bool failed = false;
     bool finalize = true;
+    std::deque<Batch> work;
     while (true) {
-      std::deque<Batch> work;
       {
         std::unique_lock<std::mutex> lock(mu);
         cv_worker.wait(lock, [&] { return !mailbox.empty() || closed; });
@@ -353,6 +334,9 @@ struct StreamEngine::Shard {
         metrics.events_checkin->inc(n - n_gps);
       }
       publish();
+      // Free the chunk's batches before going idle: drain() returns on
+      // `busy`, and its caller may count the heap (test_stream_memory).
+      work.clear();
       {
         std::lock_guard<std::mutex> lock(mu);
         busy = false;
@@ -360,13 +344,14 @@ struct StreamEngine::Shard {
       cv_idle.notify_all();
     }
     if (!failed && finalize) {
+      const OnlineMatcher::Context ctx{config.match, config.classifier, totals};
       for (auto& [id, u] : users) {
         if (!u.pipeline) continue;
         UserPipeline& p = *u.pipeline;
-        const match::Partition before = p.verdicts;
-        if (auto visit = p.detector.finish()) p.matcher.push_visit(*visit);
-        p.matcher.finish();
-        add_partition_delta(totals, p.verdicts, before);
+        if (auto visit = p.detector.finish(config.detector)) {
+          p.matcher.push_visit(*visit, ctx);
+        }
+        p.matcher.finish(ctx);
       }
     }
     publish();
@@ -654,7 +639,7 @@ std::string StreamEngine::save_state() {
     w.u32(id);
     w.boolean(p->saw_event);
     w.i64(p->last_event_t);
-    save_partition(w, p->verdicts);
+    save_partition(w, p->matcher.verdicts());
     w.u64(p->checkins_seen);
     w.i64(p->last_checkin_t);
     w.u64(p->gap_count);
@@ -717,11 +702,11 @@ void StreamEngine::load_state(std::string_view payload) {
     Shard& shard = *shards_[shard_of(id)];
     std::unique_ptr<UserPipeline>& slot = shard.users[id].pipeline;
     if (slot) throw SnapshotError("snapshot: duplicate user id");
-    slot = std::make_unique<UserPipeline>(config_);
+    slot = std::make_unique<UserPipeline>();
     UserPipeline& p = *slot;
     p.saw_event = r.boolean();
     p.last_event_t = r.i64();
-    p.verdicts = load_partition(r);
+    p.matcher.restore_verdicts(load_partition(r));
     p.checkins_seen = r.u64();
     p.last_checkin_t = r.i64();
     p.gap_count = r.u64();
@@ -732,8 +717,8 @@ void StreamEngine::load_state(std::string_view payload) {
     if (config_.model != nullptr) shard.scorer->load_user(r, id);
     // Restored history lands in the owning shard's totals, so per-user
     // shares and per-shard sums stay consistent across a resume.
-    add_partition(shard.totals, p.verdicts);
-    add_partition(user_sum, p.verdicts);
+    add_partition(shard.totals, p.matcher.verdicts());
+    add_partition(user_sum, p.matcher.verdicts());
   }
   if (!r.exhausted()) {
     throw SnapshotError("snapshot: trailing bytes after engine state");

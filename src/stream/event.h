@@ -38,6 +38,10 @@ struct Event {
     return kind == Kind::kGps ? gps.t : checkin.t;
   }
 
+  [[nodiscard]] const geo::LatLon& position() const {
+    return kind == Kind::kGps ? gps.position : checkin.location;
+  }
+
   [[nodiscard]] static Event gps_sample(trace::UserId user,
                                         const trace::GpsPoint& p) {
     Event e;

@@ -17,98 +17,58 @@ auto first_after(const Window& window, trace::TimeSec key) {
 
 }  // namespace
 
-OnlineMatcher::OnlineMatcher(const match::MatchConfig& match_config,
-                             const match::ClassifierConfig& classifier_config,
-                             match::Partition& sink)
-    : match_config_(match_config),
-      classifier_config_(classifier_config),
-      sink_(&sink) {}
-
-void OnlineMatcher::push_checkin(const trace::Checkin& c) {
-  ++sink_->checkins;
-  pending_checkins_.push_back(c);
-}
-
-void OnlineMatcher::push_visit(const trace::Visit& v) {
-  ++sink_->visits;
-  pending_visits_.push_back(v);
-}
-
-void OnlineMatcher::observe_gps(const trace::GpsPoint& p) {
-  if (total_gps_ == 0) first_gps_t_ = p.t;
-  ++total_gps_;
-  last_gps_t_ = p.t;
-  gps_window_.push_back(p);
-
-  // This sample closes the speed bracket of every deferred checkin older
-  // than it (deferred entries are in time order).
-  while (!deferred_.empty() && deferred_.front().t < p.t) {
-    const auto label = classify_now(deferred_.front(), /*at_end=*/false);
-    ++sink_->by_class[static_cast<std::size_t>(*label)];
+void OnlineMatcher::resolve_deferred(trace::TimeSec t, const Context& ctx) {
+  while (!deferred_.empty() && deferred_.front().t < t) {
+    count(*classify_now(deferred_.front(), /*at_end=*/false, ctx.classifier),
+          ctx);
     deferred_.pop_front();
   }
 }
 
-void OnlineMatcher::advance(trace::TimeSec watermark,
-                            trace::TimeSec visit_start_barrier) {
-  watermark_ = saw_event_ ? std::max(watermark_, watermark) : watermark;
-  saw_event_ = true;
-
-  const trace::TimeSec beta = match_config_.beta;
-  const bool checkins_safe =
-      pending_checkins_.empty() ||
-      pending_checkins_.back().t + beta <= visit_start_barrier;
-  const bool visits_safe = pending_visits_.empty() ||
-                           pending_visits_.back().end + beta <= watermark_;
-  if ((!pending_checkins_.empty() || !pending_visits_.empty()) &&
-      checkins_safe && visits_safe) {
-    finalize_pending(/*at_end=*/false);
-  }
-  prune_gps_window();
-}
-
-void OnlineMatcher::finish() {
+void OnlineMatcher::finish(const Context& ctx) {
   if (!pending_checkins_.empty() || !pending_visits_.empty()) {
-    finalize_pending(/*at_end=*/true);
+    finalize_pending(/*at_end=*/true, ctx);
   }
   while (!deferred_.empty()) {
-    const auto label = classify_now(deferred_.front(), /*at_end=*/true);
-    ++sink_->by_class[static_cast<std::size_t>(*label)];
+    count(*classify_now(deferred_.front(), /*at_end=*/true, ctx.classifier),
+          ctx);
     deferred_.pop_front();
   }
   gps_window_ = {};
 }
 
-void OnlineMatcher::finalize_pending(bool at_end) {
+void OnlineMatcher::finalize_pending(bool at_end, const Context& ctx) {
   const match::UserMatch m =
-      match::match_user(pending_checkins_, pending_visits_, match_config_);
+      match::match_user(pending_checkins_, pending_visits_, ctx.match);
 
   for (std::size_t i = 0; i < pending_checkins_.size(); ++i) {
     if (m.checkins[i].visit.has_value()) {
-      ++sink_->honest;
-      ++sink_->by_class[static_cast<std::size_t>(match::CheckinClass::kHonest)];
+      count(&match::Partition::honest, ctx);
+      count(match::CheckinClass::kHonest, ctx);
     } else {
-      ++sink_->extraneous;
-      resolve_or_defer(pending_checkins_[i], at_end);
+      count(&match::Partition::extraneous, ctx);
+      resolve_or_defer(pending_checkins_[i], at_end, ctx);
     }
   }
   for (std::size_t j = 0; j < pending_visits_.size(); ++j) {
-    if (!m.visit_matched[j]) ++sink_->missing;
+    if (!m.visit_matched[j]) count(&match::Partition::missing, ctx);
   }
   pending_checkins_.clear();
   pending_visits_.clear();
 }
 
-void OnlineMatcher::resolve_or_defer(const trace::Checkin& c, bool at_end) {
-  if (const auto label = classify_now(c, at_end)) {
-    ++sink_->by_class[static_cast<std::size_t>(*label)];
+void OnlineMatcher::resolve_or_defer(const trace::Checkin& c, bool at_end,
+                                     const Context& ctx) {
+  if (const auto label = classify_now(c, at_end, ctx.classifier)) {
+    count(*label, ctx);
   } else {
     deferred_.push_back(c);
   }
 }
 
 std::optional<match::CheckinClass> OnlineMatcher::classify_now(
-    const trace::Checkin& c, bool at_end) const {
+    const trace::Checkin& c, bool at_end,
+    const match::ClassifierConfig& config) const {
   // sample_at(c.t): the newest sample at or before the checkin. Every
   // sample the pruning cutoff discarded is older than max_gps_gap relative
   // to any checkin still resolvable here, so a miss below gets the same
@@ -117,17 +77,17 @@ std::optional<match::CheckinClass> OnlineMatcher::classify_now(
   auto it = first_after(gps_window_, c.t);
   const trace::GpsPoint* sample =
       it == gps_window_.begin() ? nullptr : &*std::prev(it);
-  if (sample == nullptr || c.t - sample->t > classifier_config_.max_gps_gap) {
+  if (sample == nullptr || c.t - sample->t > config.max_gps_gap) {
     return match::CheckinClass::kUnclassified;
   }
   if (geo::distance_m(sample->position, c.location) >
-      classifier_config_.remote_threshold_m) {
+      config.remote_threshold_m) {
     return match::CheckinClass::kRemote;
   }
   // Driveby vs superfluous needs speed_at(c.t), whose bracketing sample
   // after c.t may not have arrived yet.
   if (c.t >= last_gps_t_ && !at_end) return std::nullopt;
-  return speed_at(c.t) > classifier_config_.driveby_speed_mps
+  return speed_at(c.t) > config.driveby_speed_mps
              ? match::CheckinClass::kDriveby
              : match::CheckinClass::kSuperfluous;
 }
@@ -242,18 +202,6 @@ void OnlineMatcher::load(SnapshotReader& r) {
   total_gps_ = static_cast<std::size_t>(r.u64());
   first_gps_t_ = r.i64();
   last_gps_t_ = r.i64();
-}
-
-void OnlineMatcher::prune_gps_window() {
-  trace::TimeSec oldest = watermark_;
-  if (!pending_checkins_.empty()) {
-    oldest = std::min(oldest, pending_checkins_.front().t);
-  }
-  if (!deferred_.empty()) oldest = std::min(oldest, deferred_.front().t);
-  const trace::TimeSec cutoff = oldest - classifier_config_.max_gps_gap;
-  while (gps_window_.size() > 2 && gps_window_.front().t < cutoff) {
-    gps_window_.pop_front();
-  }
 }
 
 }  // namespace geovalid::stream

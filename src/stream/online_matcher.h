@@ -30,6 +30,7 @@
 // proportional to trace length.
 #pragma once
 
+#include <algorithm>
 #include <optional>
 #include <vector>
 
@@ -42,30 +43,64 @@ namespace geovalid::stream {
 
 class OnlineMatcher {
  public:
-  /// Verdict counts are accumulated straight into `sink` (typically the
-  /// owning shard's partition), so aggregation costs nothing per event.
-  OnlineMatcher(const match::MatchConfig& match_config,
-                const match::ClassifierConfig& classifier_config,
-                match::Partition& sink);
+  /// What the owning shard lends every call: the engine's one copy of the
+  /// thresholds, and the shard's running verdict totals. Each verdict is
+  /// counted into the totals and into this user's share when it is decided,
+  /// so the shard never diffs a user's partition to keep its own.
+  struct Context {
+    const match::MatchConfig& match;
+    const match::ClassifierConfig& classifier;
+    match::Partition& totals;
+  };
 
   /// Feeds the user's next checkin (non-decreasing timestamps).
-  void push_checkin(const trace::Checkin& c);
+  void push_checkin(const trace::Checkin& c, const Context& ctx) {
+    count(&match::Partition::checkins, ctx);
+    pending_checkins_.push_back(c);
+  }
 
   /// Feeds a visit closed by the visit detector (emission order).
-  void push_visit(const trace::Visit& v);
+  void push_visit(const trace::Visit& v, const Context& ctx) {
+    count(&match::Partition::visits, ctx);
+    pending_visits_.push_back(v);
+  }
 
   /// Feeds a raw GPS sample — classification evidence only; visit detection
   /// happens upstream. Must be called for every sample, in time order.
-  void observe_gps(const trace::GpsPoint& p);
+  void observe_gps(const trace::GpsPoint& p, const Context& ctx) {
+    if (total_gps_ == 0) first_gps_t_ = p.t;
+    ++total_gps_;
+    last_gps_t_ = p.t;
+    gps_window_.push_back(p);
+    if (!deferred_.empty()) resolve_deferred(p.t, ctx);
+  }
 
   /// Advances event time. `watermark` is the timestamp of the event just
   /// processed; `visit_start_barrier` is the earliest start any future
   /// visit can have (the detector's open-window start, or the watermark).
   /// Finalizes the pending window when it can no longer match the future.
-  void advance(trace::TimeSec watermark, trace::TimeSec visit_start_barrier);
+  void advance(trace::TimeSec watermark, trace::TimeSec visit_start_barrier,
+               const Context& ctx) {
+    watermark_ = saw_event_ ? std::max(watermark_, watermark) : watermark;
+    saw_event_ = true;
+    const trace::TimeSec beta = ctx.match.beta;
+    const bool checkins_safe =
+        pending_checkins_.empty() ||
+        pending_checkins_.back().t + beta <= visit_start_barrier;
+    const bool visits_safe = pending_visits_.empty() ||
+                             pending_visits_.back().end + beta <= watermark_;
+    if ((!pending_checkins_.empty() || !pending_visits_.empty()) &&
+        checkins_safe && visits_safe) {
+      finalize_pending(/*at_end=*/false, ctx);
+    }
+    prune_gps_window(ctx.classifier.max_gps_gap);
+  }
 
   /// End of stream: finalizes everything still pending.
-  void finish();
+  void finish(const Context& ctx);
+
+  /// This user's share of the partition: every verdict counted so far.
+  [[nodiscard]] const match::Partition& verdicts() const { return verdicts_; }
 
   // Introspection (tests assert the memory bound through these).
   [[nodiscard]] std::size_t pending_checkins() const {
@@ -84,10 +119,13 @@ class OnlineMatcher {
   /// Checkpoint support: serializes the full pending window (checkins,
   /// visits, deferred classifications, pruned GPS buffer) plus the
   /// watermark, so a load()ed matcher emits exactly the verdicts the
-  /// uninterrupted run would have. Config and sink are not serialized —
-  /// the restoring engine provides both.
+  /// uninterrupted run would have. The user's share is stored apart from
+  /// the window, and restored through restore_verdicts().
   void save(SnapshotWriter& w) const;
   void load(SnapshotReader& r);
+  void restore_verdicts(const match::Partition& verdicts) {
+    verdicts_ = verdicts;
+  }
 
  private:
   /// A FIFO on one vector: pop_front() advances `head` and erases the dead
@@ -112,24 +150,50 @@ class OnlineMatcher {
     }
   };
 
-  void finalize_pending(bool at_end);
-  void resolve_or_defer(const trace::Checkin& c, bool at_end);
-  void prune_gps_window();
+  /// Counts one verdict into this user's share and the shard's totals.
+  void count(std::size_t match::Partition::*field, const Context& ctx) {
+    ++(verdicts_.*field);
+    ++(ctx.totals.*field);
+  }
+  void count(match::CheckinClass label, const Context& ctx) {
+    const auto c = static_cast<std::size_t>(label);
+    ++verdicts_.by_class[c];
+    ++ctx.totals.by_class[c];
+  }
+
+  /// Classifies every deferred checkin whose speed bracket the sample at
+  /// `t` closes (deferred entries are in time order).
+  void resolve_deferred(trace::TimeSec t, const Context& ctx);
+  void finalize_pending(bool at_end, const Context& ctx);
+  void resolve_or_defer(const trace::Checkin& c, bool at_end,
+                        const Context& ctx);
+  /// Drops the samples no classification can consult any more: those
+  /// older than max_gps_gap before the oldest unresolved checkin (or the
+  /// watermark), keeping the last two for the end-of-trace speed segment.
+  void prune_gps_window(trace::TimeSec max_gps_gap) {
+    trace::TimeSec oldest = watermark_;
+    if (!pending_checkins_.empty()) {
+      oldest = std::min(oldest, pending_checkins_.front().t);
+    }
+    if (!deferred_.empty()) oldest = std::min(oldest, deferred_.front().t);
+    const trace::TimeSec cutoff = oldest - max_gps_gap;
+    while (gps_window_.size() > 2 && gps_window_.front().t < cutoff) {
+      gps_window_.pop_front();
+    }
+  }
 
   /// Exact replica of match::classify_user's per-checkin logic against the
   /// retained sample window. nullopt = the verdict needs the first GPS
   /// sample after c.t, which has not arrived (never returned when at_end).
   [[nodiscard]] std::optional<match::CheckinClass> classify_now(
-      const trace::Checkin& c, bool at_end) const;
+      const trace::Checkin& c, bool at_end,
+      const match::ClassifierConfig& config) const;
 
   /// Exact replica of trace::GpsTrace::speed_at over the full sample
   /// history (the window invariant keeps every sample it consults).
   [[nodiscard]] double speed_at(trace::TimeSec t) const;
 
-  match::MatchConfig match_config_;
-  match::ClassifierConfig classifier_config_;
-  match::Partition* sink_;
-
+  match::Partition verdicts_;
   trace::TimeSec watermark_ = 0;
   bool saw_event_ = false;
 

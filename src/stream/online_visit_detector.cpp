@@ -4,10 +4,8 @@
 
 namespace geovalid::stream {
 
-OnlineVisitDetector::OnlineVisitDetector(trace::VisitDetectorConfig config)
-    : config_(config) {}
-
-trace::MotionState OnlineVisitDetector::classify(const trace::GpsPoint& p) {
+trace::MotionState OnlineVisitDetector::classify(
+    const trace::GpsPoint& p, const trace::StationaryConfig& config) {
   // Incremental transcription of trace::classify_motion: the WiFi run
   // counter is the only state carried between samples.
   if (has_prev_sample_ && p.wifi_fingerprint != 0 &&
@@ -21,9 +19,8 @@ trace::MotionState OnlineVisitDetector::classify(const trace::GpsPoint& p) {
 
   if (p.has_fix) return trace::MotionState::kUnknown;  // GPS logic decides
 
-  const bool accel_quiet =
-      p.accel_variance <= config_.stationary.accel_variance_max;
-  const bool wifi_stable = wifi_run_ >= config_.stationary.wifi_stable_samples;
+  const bool accel_quiet = p.accel_variance <= config.accel_variance_max;
+  const bool wifi_stable = wifi_run_ >= config.wifi_stable_samples;
 
   if (accel_quiet && (wifi_stable || p.wifi_fingerprint != 0)) {
     return trace::MotionState::kStationary;
@@ -32,10 +29,11 @@ trace::MotionState OnlineVisitDetector::classify(const trace::GpsPoint& p) {
   return trace::MotionState::kUnknown;
 }
 
-std::optional<trace::Visit> OnlineVisitDetector::close_window() {
+std::optional<trace::Visit> OnlineVisitDetector::close_window(
+    const trace::VisitDetectorConfig& config) {
   std::optional<trace::Visit> emitted;
   if (in_window_ && fix_count_ > 0 &&
-      window_end_ - window_start_ >= config_.min_duration) {
+      window_end_ - window_start_ >= config.min_duration) {
     const auto n = static_cast<double>(fix_count_);
     emitted = trace::Visit{window_start_, window_end_,
                            geo::LatLon{lat_sum_ / n, lon_sum_ / n}};
@@ -47,19 +45,19 @@ std::optional<trace::Visit> OnlineVisitDetector::close_window() {
 }
 
 std::optional<trace::Visit> OnlineVisitDetector::push(
-    const trace::GpsPoint& p) {
-  const trace::MotionState motion = classify(p);
+    const trace::GpsPoint& p, const trace::VisitDetectorConfig& config) {
+  const trace::MotionState motion = classify(p, config.stationary);
 
   std::optional<trace::Visit> emitted;
-  if (in_window_ && p.t - window_end_ > config_.max_sample_gap) {
-    emitted = close_window();
+  if (in_window_ && p.t - window_end_ > config.max_sample_gap) {
+    emitted = close_window(config);
   }
 
   if (!p.has_fix) {
     // Sensor evidence decides whether an ongoing stay continues.
     if (!in_window_) return emitted;
     if (motion == trace::MotionState::kMoving) {
-      auto closed = close_window();
+      auto closed = close_window(config);
       if (closed) emitted = closed;
     } else {
       // Stationary or unknown: optimistically extend; a later far-away fix
@@ -80,13 +78,13 @@ std::optional<trace::Visit> OnlineVisitDetector::push(
 
   const auto n = static_cast<double>(fix_count_);
   const geo::LatLon centroid{lat_sum_ / n, lon_sum_ / n};
-  if (geo::fast_distance_within(centroid, p.position, config_.radius_m)) {
+  if (geo::fast_distance_within(centroid, p.position, config.radius_m)) {
     lat_sum_ += p.position.lat_deg;
     lon_sum_ += p.position.lon_deg;
     ++fix_count_;
     window_end_ = p.t;
   } else {
-    auto closed = close_window();
+    auto closed = close_window(config);
     if (closed) emitted = closed;
     lat_sum_ = p.position.lat_deg;
     lon_sum_ = p.position.lon_deg;
@@ -97,17 +95,13 @@ std::optional<trace::Visit> OnlineVisitDetector::push(
   return emitted;
 }
 
-std::optional<trace::Visit> OnlineVisitDetector::finish() {
-  auto emitted = close_window();
+std::optional<trace::Visit> OnlineVisitDetector::finish(
+    const trace::VisitDetectorConfig& config) {
+  auto emitted = close_window(config);
   has_prev_sample_ = false;
   prev_fingerprint_ = 0;
   wifi_run_ = 0;
   return emitted;
-}
-
-std::optional<trace::TimeSec> OnlineVisitDetector::open_window_start() const {
-  if (!in_window_) return std::nullopt;
-  return window_start_;
 }
 
 void OnlineVisitDetector::save(SnapshotWriter& w) const {

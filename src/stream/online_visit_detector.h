@@ -11,7 +11,8 @@
 //
 // State is O(1) per user: the running window centroid, the window bounds,
 // and the previous sample's WiFi fingerprint (the stationary classifier's
-// only cross-sample dependency).
+// only cross-sample dependency). The thresholds are not state: the caller
+// passes its one shared config into every call.
 #pragma once
 
 #include <optional>
@@ -23,23 +24,22 @@ namespace geovalid::stream {
 
 class OnlineVisitDetector {
  public:
-  explicit OnlineVisitDetector(trace::VisitDetectorConfig config = {});
-
   /// Feeds the next sample (timestamps must be non-decreasing; mirrors
-  /// GpsTrace order). Returns the visit this sample closed, if any.
-  std::optional<trace::Visit> push(const trace::GpsPoint& p);
+  /// GpsTrace order). Returns the visit this sample closed, if any. The
+  /// config is the engine's one copy, passed on every call.
+  std::optional<trace::Visit> push(const trace::GpsPoint& p,
+                                   const trace::VisitDetectorConfig& config);
 
   /// Ends the stream: closes and possibly emits the in-progress window.
   /// The detector is reusable afterwards (state fully reset).
-  std::optional<trace::Visit> finish();
+  std::optional<trace::Visit> finish(const trace::VisitDetectorConfig& config);
 
   /// Start time of the in-progress candidate window, if one is open. Any
   /// visit emitted in the future starts at or after this time — the
   /// matcher's finalization barrier depends on it.
-  [[nodiscard]] std::optional<trace::TimeSec> open_window_start() const;
-
-  [[nodiscard]] const trace::VisitDetectorConfig& config() const {
-    return config_;
+  [[nodiscard]] std::optional<trace::TimeSec> open_window_start() const {
+    if (!in_window_) return std::nullopt;
+    return window_start_;
   }
 
   /// Checkpoint support: serializes every cross-sample field (classifier
@@ -49,19 +49,19 @@ class OnlineVisitDetector {
   void load(SnapshotReader& r);
 
  private:
-  [[nodiscard]] trace::MotionState classify(const trace::GpsPoint& p);
-  [[nodiscard]] std::optional<trace::Visit> close_window();
+  [[nodiscard]] trace::MotionState classify(
+      const trace::GpsPoint& p, const trace::StationaryConfig& config);
+  [[nodiscard]] std::optional<trace::Visit> close_window(
+      const trace::VisitDetectorConfig& config);
 
-  trace::VisitDetectorConfig config_;
-
-  // Stationary-classifier state (see trace::classify_motion): length of the
-  // current run of consecutive samples sharing a non-zero fingerprint.
+  // Stationary-classifier state (see trace::classify_motion): the previous
+  // fingerprint and the length of the current run of consecutive samples
+  // sharing a non-zero one. Then the candidate window (see
+  // VisitDetector::detect), whose flag shares a word with the other flag.
   bool has_prev_sample_ = false;
+  bool in_window_ = false;
   std::uint32_t prev_fingerprint_ = 0;
   std::size_t wifi_run_ = 0;
-
-  // Candidate-window state (see VisitDetector::detect).
-  bool in_window_ = false;
   double lat_sum_ = 0.0;
   double lon_sum_ = 0.0;
   std::size_t fix_count_ = 0;

@@ -3,17 +3,9 @@
 #include <stdexcept>
 #include <string>
 
-#include "geo/latlon.h"
 #include "obs/metrics.h"
 
 namespace geovalid::stream {
-namespace {
-
-geo::LatLon event_position(const Event& e) {
-  return e.kind == Event::Kind::kGps ? e.gps.position : e.checkin.location;
-}
-
-}  // namespace
 
 std::string_view to_string(QuarantineReason reason) {
   switch (reason) {
@@ -67,7 +59,7 @@ void Quarantine::record(const Event& e, QuarantineReason reason) {
     counters_[static_cast<std::size_t>(reason)]->inc();
   }
   if (out_.is_open()) {
-    const geo::LatLon pos = event_position(e);
+    const geo::LatLon& pos = e.position();
     std::lock_guard<std::mutex> lock(io_mu_);
     out_ << to_string(reason) << ',' << e.user << ','
          << (e.kind == Event::Kind::kGps ? "gps" : "checkin") << ','
@@ -105,21 +97,6 @@ void Quarantine::flush() {
   if (!out_.is_open()) return;
   std::lock_guard<std::mutex> lock(io_mu_);
   out_.flush();
-}
-
-std::optional<QuarantineReason> validate_event(
-    const Event& e, const std::unordered_set<trace::UserId>* known_users) {
-  if (!geo::is_valid(event_position(e))) {
-    return QuarantineReason::kBadCoordinates;
-  }
-  const trace::TimeSec t = e.time();
-  if (t < 0 || t > trace::kMaxEventTime) {
-    return QuarantineReason::kTimestampOverflow;
-  }
-  if (known_users != nullptr && known_users->count(e.user) == 0) {
-    return QuarantineReason::kUnknownUser;
-  }
-  return std::nullopt;
 }
 
 }  // namespace geovalid::stream

@@ -26,7 +26,9 @@
 #include <string_view>
 #include <unordered_set>
 
+#include "geo/latlon.h"
 #include "stream/event.h"
+#include "trace/time.h"
 
 namespace geovalid::obs {
 class Counter;
@@ -114,7 +116,17 @@ class Quarantine {
 /// Returns the reason to quarantine `e`, or nullopt when the record is
 /// plausible. The owning shard runs it once the record's arrival is
 /// counted, then checks timestamp *ordering* (it needs per-user history).
-[[nodiscard]] std::optional<QuarantineReason> validate_event(
-    const Event& e, const std::unordered_set<trace::UserId>* known_users);
+[[nodiscard]] inline std::optional<QuarantineReason> validate_event(
+    const Event& e, const std::unordered_set<trace::UserId>* known_users) {
+  if (!geo::is_valid(e.position())) return QuarantineReason::kBadCoordinates;
+  const trace::TimeSec t = e.time();
+  if (t < 0 || t > trace::kMaxEventTime) {
+    return QuarantineReason::kTimestampOverflow;
+  }
+  if (known_users != nullptr && known_users->count(e.user) == 0) {
+    return QuarantineReason::kUnknownUser;
+  }
+  return std::nullopt;
+}
 
 }  // namespace geovalid::stream

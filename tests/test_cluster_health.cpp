@@ -175,24 +175,37 @@ std::string apply_in_place(BackendController& c, Actions& out, bool dial_ok,
 
 TEST(BackendController, ProbesThatFailAtOnceEndEveryInputsChain) {
   // probe_down_after = 1 against a backend whose ingest port accepts and
-  // whose /readyz fails at once: each failed answer severs and redials,
-  // and the redial probes at once. Answered after the actions are applied,
-  // the failures cost one such round per answer, and each input's chain
-  // ends.
+  // whose /readyz fails at once: each failed answer severs. The first
+  // sever redials at once; each later one, with the backend never up in
+  // between, waits out the jittered backoff, so the backend is redialed on
+  // the backoff's schedule, not once per probe. Answered after the actions
+  // are applied, each input's chain ends.
   HealthConfig config = test_config();
   config.probe_down_after = 1;
   BackendController c(config, 7, 0);
   Actions out;
   std::optional<std::uint64_t> probe;
-  c.tick(at(1000ms), out);
+  TimePoint t = at(1000ms);
+  c.tick(t, out);
   ASSERT_EQ(apply_in_place(c, out, true, probe), "start_probe(0)");
   c.probe_answer(*probe, false, {}, out);
   ASSERT_EQ(apply_in_place(c, out, true, probe), "connect start_probe(1)");
-  for (std::uint64_t g = 1; g <= 20; ++g) {
+  c.probe_answer(1, false, {}, out);
+  ASSERT_EQ(apply_in_place(c, out, true, probe),
+            "sever connect start_probe(2)");
+  for (std::uint64_t g = 2; g <= 20; ++g) {
     ASSERT_EQ(probe, g);
     c.probe_answer(g, false, {}, out);
+    ASSERT_EQ(apply_in_place(c, out, true, probe), "sever");
+    EXPECT_EQ(c.state(), BackendState::kDown);
+    t += std::chrono::milliseconds(stream::backoff_with_jitter(
+        config.reconnect_backoff_ms, config.reconnect_backoff_cap_ms,
+        static_cast<std::uint32_t>(g - 1), 7, 0));
+    c.tick(t - 1ms, out);
+    EXPECT_EQ(take(out), "") << "redial " << g;
+    c.tick(t, out);
     ASSERT_EQ(apply_in_place(c, out, true, probe),
-              "sever connect start_probe(" + std::to_string(g + 1) + ")");
+              "connect start_probe(" + std::to_string(g + 1) + ")");
     EXPECT_EQ(c.state(), BackendState::kRecovering);
   }
   EXPECT_EQ(c.probe_failures(), 21u);

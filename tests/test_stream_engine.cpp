@@ -365,6 +365,79 @@ TEST(StreamEngine, UserVerdictsSumToThePartition) {
   EXPECT_FALSE(engine.user_verdicts(0xFFFFFF).has_value());
 }
 
+TEST(StreamEngine, UserVerdictsSumToThePartitionAtEveryDrain) {
+  // Each verdict is counted into its user's share and its shard's totals
+  // together, so the two agree at every drain, not only at the end. At
+  // beta = 0 a driveby-vs-superfluous class waits for the next GPS sample,
+  // the one path on which a GPS record changes by_class. Corrupt and late
+  // records quarantine in between, and halfway the state resumes in a new
+  // engine through save_state/load_state.
+  const synth::GeneratedStudy study =
+      synth::generate_study(synth::tiny_preset());
+  std::vector<Event> events = flatten_dataset(study.dataset);
+  std::unordered_set<trace::UserId> enrolled;
+  for (const trace::UserRecord& u : study.dataset.users()) {
+    enrolled.insert(u.id);
+  }
+  FaultPlan plan;
+  plan.corrupt_rate = 0.03;
+  plan.seed = 23;
+  ASSERT_FALSE(FaultInjector(plan).corrupt_stream(events).empty());
+
+  std::size_t drains = 0;
+  const auto expect_counted_once = [&](StreamEngine& engine) {
+    match::Partition sum;
+    for (const UserVerdicts& u : engine.all_user_verdicts()) {
+      sum.honest += u.partition.honest;
+      sum.extraneous += u.partition.extraneous;
+      sum.missing += u.partition.missing;
+      sum.checkins += u.partition.checkins;
+      sum.visits += u.partition.visits;
+      for (std::size_t c = 0; c < sum.by_class.size(); ++c) {
+        sum.by_class[c] += u.partition.by_class[c];
+      }
+    }
+    SCOPED_TRACE("drain " + std::to_string(++drains));
+    expect_partition_eq(sum, engine.partition());
+  };
+  constexpr std::size_t kDrainEvery = 997;
+  const auto feed = [&](StreamEngine& engine, std::size_t from,
+                        std::size_t to) {
+    for (std::size_t i = from; i < to; ++i) {
+      engine.push(events[i]);
+      if ((i + 1) % kDrainEvery == 0) expect_counted_once(engine);
+    }
+  };
+
+  for (const std::size_t shards : {1u, 2u, 4u}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    Quarantine quarantine(QuarantineConfig{{}, /*metrics=*/false});
+    StreamEngineConfig config;
+    config.shards = shards;
+    config.metrics = false;
+    config.match.beta = 0;
+    config.quarantine = &quarantine;
+    config.known_users = &enrolled;
+    config.reorder_window = trace::kMaxEventTime;  // every regression: late
+    const std::size_t half = events.size() / 2;
+    std::string state;
+    {
+      StreamEngine engine(config);
+      feed(engine, 0, half);
+      state = engine.save_state();
+      engine.shutdown();
+    }
+    StreamEngine resumed(config);
+    resumed.load_state(state);
+    expect_counted_once(resumed);
+    feed(resumed, half, events.size());
+    resumed.finish();
+    expect_counted_once(resumed);
+    EXPECT_GT(quarantine.count(QuarantineReason::kLateTimestamp), 0u);
+    EXPECT_GT(quarantine.count(QuarantineReason::kBadCoordinates), 0u);
+  }
+}
+
 TEST(StreamEngine, UserVerdictsInterarrivalStatistics) {
   StreamEngine engine{StreamEngineConfig{}};
   trace::Checkin c;

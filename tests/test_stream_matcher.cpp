@@ -18,6 +18,9 @@ namespace geovalid::stream {
 namespace {
 
 const geo::LatLon kVenue{34.4208, -119.6982};
+const match::MatchConfig kMatch{};
+const match::ClassifierConfig kClassify{};
+const trace::VisitDetectorConfig kDetect{};
 
 void expect_partition_eq(const match::Partition& got,
                          const match::Partition& want) {
@@ -49,24 +52,25 @@ trace::Visit visit_at(trace::TimeSec start, trace::TimeSec end,
 
 TEST(OnlineMatcher, HonestVerdictWaitsForTheBetaWindow) {
   match::Partition sink;
-  OnlineMatcher m({}, {}, sink);
+  OnlineMatcher m;
+  const OnlineMatcher::Context ctx{kMatch, kClassify, sink};
   const trace::TimeSec beta = match::MatchConfig{}.beta;
 
-  m.push_checkin(checkin_at(trace::hours(1), kVenue));
-  m.advance(trace::hours(1), trace::hours(1));
+  m.push_checkin(checkin_at(trace::hours(1), kVenue), ctx);
+  m.advance(trace::hours(1), trace::hours(1), ctx);
   EXPECT_EQ(sink.honest, 0u);
   EXPECT_EQ(m.pending_checkins(), 1u);
 
   m.push_visit(visit_at(trace::hours(1) - trace::minutes(10),
-                        trace::hours(1) + trace::minutes(20), kVenue));
+                        trace::hours(1) + trace::minutes(20), kVenue), ctx);
   m.advance(trace::hours(1) + trace::minutes(20),
-            trace::hours(1) + trace::minutes(20));
+            trace::hours(1) + trace::minutes(20), ctx);
   // The visit could still be claimed by a closer future checkin.
   EXPECT_EQ(sink.honest, 0u);
 
   // Once the watermark clears end + beta, the verdict lands.
   const trace::TimeSec quiet = trace::hours(1) + trace::minutes(20) + beta;
-  m.advance(quiet, quiet);
+  m.advance(quiet, quiet, ctx);
   EXPECT_EQ(sink.honest, 1u);
   EXPECT_EQ(class_count(sink, match::CheckinClass::kHonest), 1u);
   EXPECT_EQ(sink.missing, 0u);
@@ -76,32 +80,34 @@ TEST(OnlineMatcher, HonestVerdictWaitsForTheBetaWindow) {
 
 TEST(OnlineMatcher, UnvisitedStayBecomesMissing) {
   match::Partition sink;
-  OnlineMatcher m({}, {}, sink);
+  OnlineMatcher m;
+  const OnlineMatcher::Context ctx{kMatch, kClassify, sink};
   const trace::TimeSec beta = match::MatchConfig{}.beta;
 
-  m.push_visit(visit_at(0, trace::minutes(10), kVenue));
-  m.advance(trace::minutes(10), trace::minutes(10));
+  m.push_visit(visit_at(0, trace::minutes(10), kVenue), ctx);
+  m.advance(trace::minutes(10), trace::minutes(10), ctx);
   EXPECT_EQ(sink.missing, 0u);
 
-  m.advance(trace::minutes(10) + beta, trace::minutes(10) + beta);
+  m.advance(trace::minutes(10) + beta, trace::minutes(10) + beta, ctx);
   EXPECT_EQ(sink.missing, 1u);
   EXPECT_EQ(sink.visits, 1u);
 }
 
 TEST(OnlineMatcher, RemoteCheckinClassifiedWithoutWaitingForSpeed) {
   match::Partition sink;
-  OnlineMatcher m({}, {}, sink);
+  OnlineMatcher m;
+  const OnlineMatcher::Context ctx{kMatch, kClassify, sink};
   const trace::TimeSec beta = match::MatchConfig{}.beta;
 
   // GPS puts the user 5 km from the venue at checkin time.
   trace::GpsPoint p;
   p.t = trace::minutes(5);
   p.position = geo::destination(kVenue, 45.0, 5000.0);
-  m.observe_gps(p);
+  m.observe_gps(p, ctx);
 
-  m.push_checkin(checkin_at(trace::minutes(6), kVenue));
-  m.advance(trace::minutes(6), trace::minutes(6));
-  m.advance(trace::minutes(6) + beta, trace::minutes(6) + beta);
+  m.push_checkin(checkin_at(trace::minutes(6), kVenue), ctx);
+  m.advance(trace::minutes(6), trace::minutes(6), ctx);
+  m.advance(trace::minutes(6) + beta, trace::minutes(6) + beta, ctx);
 
   EXPECT_EQ(sink.extraneous, 1u);
   EXPECT_EQ(class_count(sink, match::CheckinClass::kRemote), 1u);
@@ -110,19 +116,20 @@ TEST(OnlineMatcher, RemoteCheckinClassifiedWithoutWaitingForSpeed) {
 
 TEST(OnlineMatcher, NearbyCheckinDefersUntilSpeedBracketCloses) {
   match::Partition sink;
-  OnlineMatcher m({}, {}, sink);
+  OnlineMatcher m;
+  const OnlineMatcher::Context ctx{kMatch, kClassify, sink};
   const trace::TimeSec beta = match::MatchConfig{}.beta;
 
   trace::GpsPoint before;
   before.t = trace::minutes(5);
   before.position = kVenue;
-  m.observe_gps(before);
+  m.observe_gps(before, ctx);
 
-  m.push_checkin(checkin_at(trace::minutes(6), kVenue));
-  m.advance(trace::minutes(6), trace::minutes(6));
+  m.push_checkin(checkin_at(trace::minutes(6), kVenue), ctx);
+  m.advance(trace::minutes(6), trace::minutes(6), ctx);
   // The matching window expires with no GPS sample after the checkin: the
   // extraneous verdict is final but driveby-vs-superfluous is not.
-  m.advance(trace::minutes(6) + beta, trace::minutes(6) + beta);
+  m.advance(trace::minutes(6) + beta, trace::minutes(6) + beta, ctx);
   EXPECT_EQ(sink.extraneous, 1u);
   EXPECT_EQ(m.deferred_classifications(), 1u);
   EXPECT_EQ(class_count(sink, match::CheckinClass::kSuperfluous), 0u);
@@ -131,23 +138,24 @@ TEST(OnlineMatcher, NearbyCheckinDefersUntilSpeedBracketCloses) {
   trace::GpsPoint after;
   after.t = trace::minutes(6) + beta + trace::minutes(1);
   after.position = kVenue;
-  m.observe_gps(after);
+  m.observe_gps(after, ctx);
   EXPECT_EQ(m.deferred_classifications(), 0u);
   EXPECT_EQ(class_count(sink, match::CheckinClass::kSuperfluous), 1u);
 }
 
 TEST(OnlineMatcher, FinishResolvesDeferredVerdicts) {
   match::Partition sink;
-  OnlineMatcher m({}, {}, sink);
+  OnlineMatcher m;
+  const OnlineMatcher::Context ctx{kMatch, kClassify, sink};
 
   trace::GpsPoint before;
   before.t = trace::minutes(5);
   before.position = kVenue;
-  m.observe_gps(before);
-  m.push_checkin(checkin_at(trace::minutes(6), kVenue));
-  m.advance(trace::minutes(6), trace::minutes(6));
+  m.observe_gps(before, ctx);
+  m.push_checkin(checkin_at(trace::minutes(6), kVenue), ctx);
+  m.advance(trace::minutes(6), trace::minutes(6), ctx);
 
-  m.finish();
+  m.finish(ctx);
   EXPECT_EQ(sink.extraneous, 1u);
   // No sample after the checkin ever arrived: batch speed_at returns 0.
   EXPECT_EQ(class_count(sink, match::CheckinClass::kSuperfluous), 1u);
@@ -156,7 +164,8 @@ TEST(OnlineMatcher, FinishResolvesDeferredVerdicts) {
 
 TEST(OnlineMatcher, StateDecaysAcrossQuietPeriods) {
   match::Partition sink;
-  OnlineMatcher m({}, {}, sink);
+  OnlineMatcher m;
+  const OnlineMatcher::Context ctx{kMatch, kClassify, sink};
   const trace::TimeSec beta = match::MatchConfig{}.beta;
 
   // A week of daily visit+checkin activity separated by quiet nights.
@@ -169,11 +178,11 @@ TEST(OnlineMatcher, StateDecaysAcrossQuietPeriods) {
       trace::GpsPoint p;
       p.t = start;
       p.position = kVenue;
-      m.observe_gps(p);
-      m.push_checkin(checkin_at(start + trace::minutes(2), kVenue));
-      m.advance(start + trace::minutes(2), start + trace::minutes(2));
-      m.push_visit(visit_at(start, start + trace::minutes(30), kVenue));
-      m.advance(start + trace::minutes(30), start + trace::minutes(30));
+      m.observe_gps(p, ctx);
+      m.push_checkin(checkin_at(start + trace::minutes(2), kVenue), ctx);
+      m.advance(start + trace::minutes(2), start + trace::minutes(2), ctx);
+      m.push_visit(visit_at(start, start + trace::minutes(30), kVenue), ctx);
+      m.advance(start + trace::minutes(30), start + trace::minutes(30), ctx);
       max_pending = std::max(max_pending,
                              m.pending_checkins() + m.pending_visits());
       max_gps = std::max(max_gps, m.gps_buffer_size());
@@ -183,13 +192,13 @@ TEST(OnlineMatcher, StateDecaysAcrossQuietPeriods) {
     trace::GpsPoint p;
     p.t = morning;
     p.position = kVenue;
-    m.observe_gps(p);
-    m.advance(morning, morning);
+    m.observe_gps(p, ctx);
+    m.advance(morning, morning, ctx);
     EXPECT_EQ(m.pending_checkins(), 0u) << "day " << day;
     EXPECT_EQ(m.pending_visits(), 0u) << "day " << day;
     EXPECT_LE(m.gps_buffer_size(), 2u) << "day " << day;
   }
-  m.finish();
+  m.finish(ctx);
 
   // Memory peaked at one day's interacting burst, not the full week.
   EXPECT_LE(max_pending, 10u);
@@ -294,7 +303,8 @@ match::Partition batch_partition(const SingleUser& u) {
 match::Partition streamed_partition(const SingleUser& u) {
   match::Partition sink;
   OnlineVisitDetector detector;
-  OnlineMatcher matcher({}, {}, sink);
+  OnlineMatcher matcher;
+  const OnlineMatcher::Context ctx{kMatch, kClassify, sink};
 
   // Merge the two feeds in time order, GPS first on ties (the replay
   // driver's order).
@@ -308,17 +318,17 @@ match::Partition streamed_partition(const SingleUser& u) {
     if (take_gps) {
       const trace::GpsPoint& p = points[gi++];
       t = p.t;
-      matcher.observe_gps(p);
-      if (auto v = detector.push(p)) matcher.push_visit(*v);
+      matcher.observe_gps(p, ctx);
+      if (auto v = detector.push(p, kDetect)) matcher.push_visit(*v, ctx);
     } else {
       const trace::Checkin& c = u.checkins[ci++];
       t = c.t;
-      matcher.push_checkin(c);
+      matcher.push_checkin(c, ctx);
     }
-    matcher.advance(t, detector.open_window_start().value_or(t));
+    matcher.advance(t, detector.open_window_start().value_or(t), ctx);
   }
-  if (auto v = detector.finish()) matcher.push_visit(*v);
-  matcher.finish();
+  if (auto v = detector.finish(kDetect)) matcher.push_visit(*v, ctx);
+  matcher.finish(ctx);
   return sink;
 }
 

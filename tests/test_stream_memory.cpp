@@ -61,10 +61,10 @@ double bytes_per_user(const geo::LatLon& at, Quarantine* quarantine) {
   return static_cast<double>(after - before) / kUsers;
 }
 
-TEST(StreamMemory, OneGpsRecordUserCostsAtMost640Bytes) {
+TEST(StreamMemory, OneGpsRecordUserCostsAtMost512Bytes) {
   const double per_user = bytes_per_user({34.4208, -119.6982}, nullptr);
   std::printf("one-GPS-record user: %.1f bytes\n", per_user);
-  EXPECT_LE(per_user, 640.0);
+  EXPECT_LE(per_user, 512.0);
 }
 
 TEST(StreamMemory, QuarantinedOnlyUserCostsAtMost128Bytes) {

@@ -15,15 +15,17 @@ namespace geovalid::stream {
 namespace {
 
 const geo::LatLon kHome{34.4208, -119.6982};
+const trace::VisitDetectorConfig kDetect{};
 
 /// Runs the online detector over a full trace and collects its emissions.
-std::vector<trace::Visit> stream_detect(const trace::GpsTrace& trace,
-                                        OnlineVisitDetector& detector) {
+std::vector<trace::Visit> stream_detect(
+    const trace::GpsTrace& trace, OnlineVisitDetector& detector,
+    const trace::VisitDetectorConfig& config) {
   std::vector<trace::Visit> visits;
   for (const trace::GpsPoint& p : trace.points()) {
-    if (auto v = detector.push(p)) visits.push_back(*v);
+    if (auto v = detector.push(p, config)) visits.push_back(*v);
   }
-  if (auto v = detector.finish()) visits.push_back(*v);
+  if (auto v = detector.finish(config)) visits.push_back(*v);
   return visits;
 }
 
@@ -98,7 +100,8 @@ TEST_P(VisitDetectorEquivalence, MatchesBatchDetector) {
   const trace::GpsTrace trace = random_trace(GetParam());
   const trace::VisitDetector batch;
   OnlineVisitDetector online;
-  expect_same_visits(batch.detect(trace), stream_detect(trace, online));
+  expect_same_visits(batch.detect(trace),
+                     stream_detect(trace, online, kDetect));
 }
 
 TEST_P(VisitDetectorEquivalence, MatchesBatchDetectorWithCustomConfig) {
@@ -108,8 +111,9 @@ TEST_P(VisitDetectorEquivalence, MatchesBatchDetectorWithCustomConfig) {
   config.max_sample_gap = trace::minutes(5);
   const trace::GpsTrace trace = random_trace(GetParam() + 7000);
   const trace::VisitDetector batch(config);
-  OnlineVisitDetector online(config);
-  expect_same_visits(batch.detect(trace), stream_detect(trace, online));
+  OnlineVisitDetector online;
+  expect_same_visits(batch.detect(trace),
+                     stream_detect(trace, online, config));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, VisitDetectorEquivalence,
@@ -123,7 +127,7 @@ TEST(OnlineVisitDetector, EmitsVisitWhenUserMovesAway) {
     trace::GpsPoint p;
     p.t = t;
     p.position = kHome;
-    EXPECT_FALSE(detector.push(p).has_value());
+    EXPECT_FALSE(detector.push(p, kDetect).has_value());
     t += trace::minutes(1);
   }
   EXPECT_EQ(detector.open_window_start(), std::optional<trace::TimeSec>(0));
@@ -132,7 +136,7 @@ TEST(OnlineVisitDetector, EmitsVisitWhenUserMovesAway) {
   trace::GpsPoint far;
   far.t = t;
   far.position = geo::destination(kHome, 90.0, 2000.0);
-  const auto visit = detector.push(far);
+  const auto visit = detector.push(far, kDetect);
   ASSERT_TRUE(visit.has_value());
   EXPECT_EQ(visit->start, 0);
   EXPECT_EQ(visit->end, trace::minutes(9));
@@ -145,9 +149,9 @@ TEST(OnlineVisitDetector, ShortStayIsDiscarded) {
     trace::GpsPoint p;
     p.t = trace::minutes(m);
     p.position = kHome;
-    EXPECT_FALSE(detector.push(p).has_value());
+    EXPECT_FALSE(detector.push(p, kDetect).has_value());
   }
-  EXPECT_FALSE(detector.finish().has_value());
+  EXPECT_FALSE(detector.finish(kDetect).has_value());
   EXPECT_FALSE(detector.open_window_start().has_value());
 }
 
@@ -157,9 +161,9 @@ TEST(OnlineVisitDetector, FinishEmitsOpenStayAndResets) {
     trace::GpsPoint p;
     p.t = trace::minutes(m);
     p.position = kHome;
-    detector.push(p);
+    detector.push(p, kDetect);
   }
-  const auto visit = detector.finish();
+  const auto visit = detector.finish(kDetect);
   ASSERT_TRUE(visit.has_value());
   EXPECT_EQ(visit->duration(), trace::minutes(8));
   EXPECT_FALSE(detector.open_window_start().has_value());
@@ -169,9 +173,9 @@ TEST(OnlineVisitDetector, FinishEmitsOpenStayAndResets) {
     trace::GpsPoint p;
     p.t = trace::minutes(m);
     p.position = kHome;
-    detector.push(p);
+    detector.push(p, kDetect);
   }
-  const auto again = detector.finish();
+  const auto again = detector.finish(kDetect);
   ASSERT_TRUE(again.has_value());
   EXPECT_EQ(again->duration(), trace::minutes(8));
 }

@@ -354,6 +354,35 @@ TEST(WireFrame, RoundTripsOneToTheMostRecordsAFrameMayCarry) {
   }
 }
 
+TEST(WireFrame, OneDecoderKeepsNoRecordOfAnEarlierFrame) {
+  // The decoder reuses one record buffer for every frame, so a slot that
+  // held a GPS record may next hold a checkin, or the reverse. Each frame
+  // must still decode exactly as a fresh decoder would.
+  stats::Rng rng(23);
+  std::string wire;
+  std::vector<std::vector<stream::Event>> sent;
+  for (const std::size_t n : {300u, 7u, 512u, 1u, 64u, 512u}) {
+    std::vector<stream::Event> batch;
+    for (std::size_t j = 0; j < n; ++j) batch.push_back(random_event(rng));
+    serve::append_binary_frame(wire, batch);
+    sent.push_back(std::move(batch));
+  }
+  BinaryFrameDecoder d;
+  d.feed(wire);
+  for (const std::vector<stream::Event>& batch : sent) {
+    const auto result = d.next();
+    ASSERT_TRUE(result.has_value());
+    const auto* frame = std::get_if<BinaryFrameDecoder::Frame>(&*result);
+    ASSERT_NE(frame, nullptr);
+    ASSERT_EQ(frame->events.size(), batch.size());
+    for (std::size_t j = 0; j < batch.size(); ++j) {
+      expect_event_eq(frame->events[j], batch[j]);
+      if (HasFailure()) FAIL() << batch.size() << " records, record " << j;
+    }
+  }
+  EXPECT_FALSE(d.next().has_value());
+}
+
 TEST(WireFrame, ByteAtATimeFeedDecodesEveryFrame) {
   stats::Rng rng(99);
   std::string wire;
